@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "check/oracle.h"
 #include "core/eval.h"
 #include "core/parallel.h"
 #include "core/physical.h"
@@ -55,7 +56,7 @@ Status FaultInjector::OnCharge(int64_t bytes) {
 namespace {
 
 constexpr uint64_t kFaultSalt = 0x6661756c74ull;  // "fault"
-constexpr int kPlansPerSeed = 2;
+constexpr int kPlansPerSeed = 3;
 
 Divergence MakeFaultDivergence(std::string detail, uint64_t seed,
                                const ExprPtr& plan, std::string message) {
@@ -103,8 +104,20 @@ Status CheckFaultSeed(uint64_t seed, const GenOptions& opts,
   for (int p = 0; p < kPlansPerSeed; ++p) {
     // Alternate logical plans with physically lowered joins so the sweep
     // reaches the hash-join emit loop's checkpoints, not just EvalNode's.
-    ExprPtr plan = (p % 2 == 0) ? RandomPlan(&rng, opts, gen)
-                                : LowerPhysical(RandomJoinPlan(&rng, opts, gen));
+    // The third slot is a join as the EXCESS translator emits it,
+    // decorrelated and lowered: its HASH_JOIN / IDX_JOIN evaluates the
+    // environment operand on each key match.
+    ExprPtr plan;
+    if (p == 0) {
+      plan = RandomPlan(&rng, opts, gen);
+    } else if (p == 1) {
+      plan = LowerPhysical(RandomJoinPlan(&rng, opts, gen));
+    } else {
+      plan = RandomTranslatedJoinPlan(&rng, opts, gen);
+      if (ExprPtr decorrelated = Decorrelated(db, plan)) {
+        plan = LowerPhysical(decorrelated, &db, CostParams());
+      }
+    }
     ++stats->plans;
 
     // Reference run: unlimited governor, counting injector. Interns any

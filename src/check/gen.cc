@@ -341,6 +341,71 @@ ExprPtr RandomJoinPlan(Rng* rng, const GenOptions& opts, const GenDb& gen) {
   }
 }
 
+ExprPtr RandomTranslatedJoinPlan(Rng* rng, const GenOptions& opts,
+                                 const GenDb& gen) {
+  PlanGen g{rng, opts, gen};
+  // One range variable per side, over ints or (k, v) pairs; `key` reads
+  // the join key of a variable from the environment tuple.
+  const bool x_pairs = rng->Chance(1, 2);
+  const bool y_pairs = rng->Chance(1, 2);
+  ExprPtr a = x_pairs ? g.SetPairLeaf() : g.SetIntLeaf();
+  ExprPtr b = y_pairs ? g.SetPairLeaf() : g.SetIntLeaf();
+  if (rng->Chance(1, 3)) {
+    // An unk environment: COMP over it yields unk whatever θ's other
+    // conjuncts say, which a join testing θ per pair would get wrong.
+    a = AddUnion(std::move(a), Const(Value::SetOf({Value::Unk()})));
+  }
+  auto var = [](const char* v) { return TupExtract(v, Input()); };
+  auto key = [&](const char* v, bool pairs, const char* field) {
+    return pairs ? TupExtract(field, var(v)) : var(v);
+  };
+
+  // The first variable's environments, as translated (TUP<x> over A) or
+  // already fused into g by rule 15 — optionally filtered, so g yields dne.
+  ExprPtr envs = a;
+  ExprPtr first = TupMakeNamed("x", Input());
+  switch (rng->Int(0, 2)) {
+    case 0:
+      envs = SetApply(std::move(first), std::move(a));
+      first = Input();
+      break;
+    case 1:
+      break;
+    default:
+      first = Comp(RandomAtomOver(rng, key("x", x_pairs, "v")),
+                   std::move(first));
+      break;
+  }
+  ExprPtr extend = SetApply(
+      TupCat(TupExtract("_1", Input()),
+             TupMakeNamed("y", TupExtract("_2", Input()))),
+      Cross(SetMake(std::move(first)), std::move(b)));
+  envs = SetCollapse(SetApply(std::move(extend), std::move(envs)));
+
+  PredicatePtr theta = Eq(key("x", x_pairs, "k"), key("y", y_pairs, "k"));
+  if (x_pairs && y_pairs && rng->Chance(1, 3)) {
+    theta = Predicate::And(theta, Eq(key("x", true, "v"), key("y", true, "v")));
+  }
+  if (rng->Chance(1, 2)) {
+    const bool on_x = rng->Chance(1, 2);
+    theta = Predicate::And(
+        theta, RandomAtomOver(rng, on_x ? key("x", x_pairs, "v")
+                                        : key("y", y_pairs, "v")));
+  }
+  ExprPtr join = SetApply(Comp(std::move(theta), Input()), std::move(envs));
+  switch (rng->Int(0, 2)) {
+    case 0:
+      return join;
+    case 1:
+      // A two-column target list.
+      return SetApply(TupCat(TupMakeNamed("a", key("x", x_pairs, "v")),
+                             TupMakeNamed("b", key("y", y_pairs, "k"))),
+                      std::move(join));
+    default:
+      return DupElim(SetApply(var("y"), std::move(join)));
+  }
+}
+
 std::string MutateSource(Rng* rng, const std::string& source) {
   static const std::string kAlphabet =
       "abcxyz_0189 \t\n(){}[].,:;\"=<>!+-*/%$\\";

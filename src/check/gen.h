@@ -103,6 +103,16 @@ ExprPtr RandomPlan(Rng* rng, const GenOptions& opts, const GenDb& gen);
 /// equality atom in θ (plus optional residual atoms and projections).
 ExprPtr RandomJoinPlan(Rng* rng, const GenOptions& opts, const GenDb& gen);
 
+/// A two-variable join in the shape the EXCESS translator emits: the
+/// second range variable bound through the dependent product
+/// SET_COLLAPSE(SET_APPLY[SET_APPLY[TUP_CAT(_1, TUP<y>(_2))](CROSS(SET(g),
+/// B))](A)), a COMP over the environment tuples with an equality between
+/// the variables, and an optional target list. Sides mix int sets (unk
+/// elements) and pair sets (unk fields), with duplicate occurrences; g may
+/// drop environments (dne) through a selection.
+ExprPtr RandomTranslatedJoinPlan(Rng* rng, const GenOptions& opts,
+                                 const GenDb& gen);
+
 /// Mutates EXCESS source text for the parser fuzz oracle: 1-3 random edits
 /// (truncate, delete, insert, duplicate a span, swap a char) drawn from a
 /// printable alphabet plus the language's punctuation.

@@ -62,6 +62,14 @@ bool MightHaveEmptyCrossInput(Evaluator* ev, const ExprPtr& e) {
 
 }  // namespace
 
+ExprPtr Decorrelated(const Database& db, const ExprPtr& plan) {
+  Rewriter rw(&db,
+              RuleSet::Only({"decorrelate-cross", "combine-set-applys"}));
+  auto r = rw.Rewrite(plan);
+  if (!r.ok() || (*r)->Equals(*plan)) return nullptr;
+  return *r;
+}
+
 bool ContainsUnk(const ValuePtr& v) {
   if (v->is_unk()) return true;
   if (v->is_tuple()) {
@@ -158,8 +166,11 @@ Status CheckRulesSeed(uint64_t seed, const GenOptions& opts,
   GenDb gen;
   EXA_RETURN_NOT_OK(BuildRandomDatabase(&rng, opts, &db, &gen));
   const RuleSet all = RuleSet::All();
-  for (int p = 0; p < kPlansPerSeed; ++p) {
-    ExprPtr plan = RandomPlan(&rng, opts, gen);
+  // One extra plan per seed in the EXCESS translator's join shape, drawn
+  // last so the arbitrary plans stay those of earlier sweeps.
+  for (int p = 0; p <= kPlansPerSeed; ++p) {
+    ExprPtr plan = p < kPlansPerSeed ? RandomPlan(&rng, opts, gen)
+                                     : RandomTranslatedJoinPlan(&rng, opts, gen);
     ++stats->plans;
     Evaluator ev(&db);
     auto before = ev.Eval(plan);
@@ -231,11 +242,14 @@ Status CheckLoweringSeed(uint64_t seed, const GenOptions& opts,
   Database db;
   GenDb gen;
   EXA_RETURN_NOT_OK(BuildRandomDatabase(&rng, opts, &db, &gen));
-  for (int p = 0; p < kPlansPerSeed; ++p) {
+  for (int p = 0; p <= kPlansPerSeed; ++p) {
     // Every third plan has the guaranteed equi-join shape the hash-join
     // lowering targets; the rest exercise the planner on arbitrary shapes.
-    ExprPtr plan = (p % 3 == 0) ? RandomJoinPlan(&rng, opts, gen)
-                                : RandomPlan(&rng, opts, gen);
+    // One extra plan, drawn last, is a join as the EXCESS translator emits
+    // it, which leg (a') decorrelates before lowering.
+    ExprPtr plan = p == kPlansPerSeed ? RandomTranslatedJoinPlan(&rng, opts, gen)
+                   : (p % 3 == 0)     ? RandomJoinPlan(&rng, opts, gen)
+                                      : RandomPlan(&rng, opts, gen);
     ++stats->plans;
     Evaluator serial(&db);
     serial.set_parallel_enabled(false);
@@ -279,6 +293,25 @@ Status CheckLoweringSeed(uint64_t seed, const GenOptions& opts,
                      " calls=", std::to_string(root ? root->invocations : -1),
                      ", result occurrences=", std::to_string(expect))));
         }
+      }
+    }
+
+    // (a') Translated joins: decorrelated and fused, then lowered (the
+    // join reads θ through the environment extension). 3VL-exact like (a).
+    if (ExprPtr decorrelated = Decorrelated(db, plan)) {
+      ++stats->comparisons;
+      ExprPtr lowered_join = LowerPhysical(decorrelated);
+      Evaluator ev(&db);
+      auto after = ev.Eval(lowered_join);
+      if (!after.ok()) {
+        out->push_back(MakeDivergence(
+            "lowering", "decorrelated", seed, plan, lowered_join,
+            StrCat("lowered plan fails: ", after.status().ToString())));
+      } else if (!(*before)->Equals(**after)) {
+        out->push_back(MakeDivergence(
+            "lowering", "decorrelated", seed, plan, lowered_join,
+            StrCat("logical: ", (*before)->ToString(), "\nphysical: ",
+                   (*after)->ToString())));
       }
     }
 
@@ -382,7 +415,7 @@ Status CheckIndexSeed(uint64_t seed, const GenOptions& opts,
   create_one();
 
   CostParams params;
-  for (int p = 0; p < kPlansPerSeed * 2; ++p) {
+  for (int p = 0; p <= kPlansPerSeed * 2; ++p) {
     // Mid-trace churn: index DDL plus base-set mutations, so probes run
     // against incrementally maintained and freshly rebuilt indexes alike.
     switch (rng.Int(0, 4)) {
@@ -407,8 +440,11 @@ Status CheckIndexSeed(uint64_t seed, const GenOptions& opts,
         break;  // no churn this round
     }
 
-    ExprPtr plan = (p % 2 == 0) ? RandomJoinPlan(&rng, opts, gen)
-                                : RandomPlan(&rng, opts, gen);
+    // The last plan is a join as the EXCESS translator emits it.
+    ExprPtr plan = p == kPlansPerSeed * 2
+                       ? RandomTranslatedJoinPlan(&rng, opts, gen)
+                   : (p % 2 == 0) ? RandomJoinPlan(&rng, opts, gen)
+                                  : RandomPlan(&rng, opts, gen);
     ++stats->plans;
     Evaluator serial(&db);
     serial.set_parallel_enabled(false);
@@ -424,8 +460,14 @@ Status CheckIndexSeed(uint64_t seed, const GenOptions& opts,
       const char* name;
       ExprPtr tree;
     };
-    const Leg legs[] = {{"index-blind", LowerPhysical(plan)},
-                        {"index-aware", LowerPhysical(plan, &db, params)}};
+    std::vector<Leg> legs = {{"index-blind", LowerPhysical(plan)},
+                             {"index-aware", LowerPhysical(plan, &db, params)}};
+    // Translated joins reach HASH_JOIN / IDX_JOIN only once decorrelated.
+    if (ExprPtr decorrelated = Decorrelated(db, plan)) {
+      legs.push_back({"decorrelated-blind", LowerPhysical(decorrelated)});
+      legs.push_back(
+          {"decorrelated-aware", LowerPhysical(decorrelated, &db, params)});
+    }
     for (const Leg& leg : legs) {
       ++stats->comparisons;
       Evaluator ev(&db);

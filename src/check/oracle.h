@@ -99,6 +99,11 @@ ValuePtr DropEmptyGroupsDeep(const ValuePtr& v);
 /// erased — the rule-28 comparator).
 ValuePtr DerefAll(const Database& db, const ValuePtr& v);
 
+/// The translated-join path in isolation: decorrelate-cross and rule-15
+/// fusion to fixpoint (both exact), which leaves a translated join in the
+/// shape the hash-join lowering reads through. Null when neither fires.
+ExprPtr Decorrelated(const Database& db, const ExprPtr& plan);
+
 }  // namespace check
 }  // namespace excess
 

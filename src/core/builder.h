@@ -196,16 +196,17 @@ inline ExprPtr RelJoin(PredicatePtr theta, ExprPtr a, ExprPtr b) {
 }
 
 // --- physical operators (planner output; see core/physical.h) ----------------
-/// HASH_JOIN(A, B, lkey, rkey)[θ]: answer-equal to
-/// SET_APPLY_{COMP_θ(INPUT)}(CROSS(A, B)) when lkey/rkey are the two sides
-/// of an equality atom conjoined in θ. lkey/rkey bind INPUT to an element
-/// of A resp. B; θ sees the pair tuple (_1, _2). Built by the physical
-/// lowering pass, not by translation from EXCESS.
+/// HASH_JOIN(A, B, lkey, rkey)[opnd][θ]: answer-equal to
+/// SET_APPLY_{COMP_θ(opnd)}(CROSS(A, B)) when lkey/rkey are the two sides
+/// of an equality atom conjoined in θ (read through opnd). lkey/rkey bind
+/// INPUT to an element of A resp. B; the optional `opnd` binds it to the
+/// pair tuple (_1, _2) and is the pair itself when null. Built by the
+/// physical lowering pass, not by translation from EXCESS.
 inline ExprPtr HashJoin(PredicatePtr theta, ExprPtr a, ExprPtr b, ExprPtr lkey,
-                        ExprPtr rkey) {
+                        ExprPtr rkey, ExprPtr opnd = nullptr) {
   return Make(OpKind::kHashJoin,
               {std::move(a), std::move(b), std::move(lkey), std::move(rkey)},
-              nullptr, std::move(theta));
+              std::move(opnd), std::move(theta));
 }
 
 /// IDX_PROBE<index>(probe)[opnd][θ]: answer-equal to
@@ -221,16 +222,16 @@ inline ExprPtr IndexProbe(std::string index_name, std::string set_name,
               {std::move(set_name)}, "", static_cast<int64_t>(cmp));
 }
 
-/// IDX_JOIN<index>(A, B, kA, kB)[θ]: HASH_JOIN whose `indexed_side` (0 = A,
-/// 1 = B) is served from a secondary index instead of a scan-built hash
-/// table. Built by the physical lowering pass.
+/// IDX_JOIN<index>(A, B, kA, kB)[opnd][θ]: HASH_JOIN whose `indexed_side`
+/// (0 = A, 1 = B) is served from a secondary index instead of a scan-built
+/// hash table. Built by the physical lowering pass.
 inline ExprPtr IndexJoin(std::string index_name, int64_t indexed_side,
                          PredicatePtr theta, ExprPtr a, ExprPtr b, ExprPtr lkey,
-                         ExprPtr rkey) {
+                         ExprPtr rkey, ExprPtr opnd = nullptr) {
   return Make(OpKind::kIndexJoin,
               {std::move(a), std::move(b), std::move(lkey), std::move(rkey)},
-              nullptr, std::move(theta), nullptr, std::move(index_name), {}, "",
-              indexed_side);
+              std::move(opnd), std::move(theta), nullptr,
+              std::move(index_name), {}, "", indexed_side);
 }
 
 /// Shorthand for TUP_EXTRACT chains: Path({"a","b"}, Input()) is

@@ -4,6 +4,38 @@
 
 namespace excess {
 
+namespace {
+
+/// Operators whose result is a multiset or array.
+bool IsCollectionOp(OpKind k) {
+  switch (k) {
+    case OpKind::kAddUnion:
+    case OpKind::kSetMake:
+    case OpKind::kSetApply:
+    case OpKind::kGroup:
+    case OpKind::kDupElim:
+    case OpKind::kDiff:
+    case OpKind::kCross:
+    case OpKind::kSetCollapse:
+    case OpKind::kArrMake:
+    case OpKind::kArrApply:
+    case OpKind::kSubArr:
+    case OpKind::kArrCat:
+    case OpKind::kArrCollapse:
+    case OpKind::kArrDiff:
+    case OpKind::kArrDupElim:
+    case OpKind::kArrCross:
+    case OpKind::kHashJoin:
+    case OpKind::kIndexProbe:
+    case OpKind::kIndexJoin:
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
 double CostModel::PredicateCost(const Predicate& p, double input_card) const {
   switch (p.kind) {
     case Predicate::Kind::kAtom: {
@@ -23,6 +55,12 @@ double CostModel::PredicateCost(const Predicate& p, double input_card) const {
       return 0;
   }
   return 0;
+}
+
+double CostModel::OpndCost(const Expr& e) const {
+  if (e.sub() == nullptr) return 0;
+  auto per = EstimateNode(*e.sub(), /*input_card=*/1);
+  return per.ok() ? per->total : 0;
 }
 
 Result<CostEstimate> CostModel::EstimateNode(const Expr& e,
@@ -66,8 +104,11 @@ Result<CostEstimate> CostModel::EstimateNode(const Expr& e,
       // A COMP-rooted subscript acts as a selection.
       if (e.sub()->kind() == OpKind::kComp) out_card *= params_.selectivity;
       if (!e.type_filter().empty()) out_card *= 0.5;  // one type's share
-      return CostEstimate{out_card,
-                          in.total + in.cardinality * (per.total + 1)};
+      CostEstimate out{out_card, in.total + in.cardinality * (per.total + 1)};
+      // Each produced element is one subscript result: a collection-valued
+      // subscript hands its estimated size on (SET_COLLAPSE reads it).
+      out.elem_cardinality = per.cardinality;
+      return out;
     }
     case OpKind::kGroup: {
       EXA_ASSIGN_OR_RETURN(CostEstimate in, child(0));
@@ -110,7 +151,16 @@ Result<CostEstimate> CostModel::EstimateNode(const Expr& e,
     case OpKind::kSetCollapse:
     case OpKind::kArrCollapse: {
       EXA_ASSIGN_OR_RETURN(CostEstimate in, child(0));
-      double card = in.cardinality * params_.avg_inner_set;
+      // The members' size is estimated when they are built by an apply
+      // with a collection-valued subscript or by GRP; a fixed fan-out
+      // stands in for stored nested collections.
+      const Expr& c = *e.child(0);
+      const bool built = c.kind() == OpKind::kGroup ||
+                         ((c.kind() == OpKind::kSetApply ||
+                           c.kind() == OpKind::kArrApply) &&
+                          IsCollectionOp(c.sub()->kind()));
+      double card = in.cardinality *
+                    (built ? in.elem_cardinality : params_.avg_inner_set);
       return CostEstimate{card, in.total + card};
     }
     case OpKind::kSetMake:
@@ -182,7 +232,7 @@ Result<CostEstimate> CostModel::EstimateNode(const Expr& e,
       // key-matching share of the pairs, modelled by the selectivity.
       double matches =
           std::max(1.0, a.cardinality * b.cardinality * params_.selectivity);
-      double pred = PredicateCost(*e.pred(), /*input_card=*/1);
+      double pred = PredicateCost(*e.pred(), /*input_card=*/1) + OpndCost(e);
       return CostEstimate{matches, a.total + b.total + a.cardinality +
                                        b.cardinality + matches * (pred + 1)};
     }
@@ -220,7 +270,7 @@ Result<CostEstimate> CostModel::EstimateNode(const Expr& e,
       EXA_ASSIGN_OR_RETURN(CostEstimate a, child(0));
       EXA_ASSIGN_OR_RETURN(CostEstimate b, child(1));
       const CostEstimate& outer = e.index() == 0 ? b : a;
-      double pred = PredicateCost(*e.pred(), /*input_card=*/1);
+      double pred = PredicateCost(*e.pred(), /*input_card=*/1) + OpndCost(e);
       const SecondaryIndex* idx = db_->FindIndex(e.name());
       if (idx == nullptr || !idx->Usable()) {
         // Fallback is EvalHashJoin: same estimate as HASH_JOIN.

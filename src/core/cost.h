@@ -27,10 +27,12 @@ struct CostEstimate {
   double live = 1;
   /// Estimated cardinality of one *element* of the produced collection —
   /// 1 for collections of scalars/tuples, the average group size for GRP
-  /// output. SET_APPLY/ARR_APPLY feed this to their subscript as INPUT's
-  /// cardinality, so per-group work inside an apply-over-groups plan is
-  /// charged for the elements each group actually holds instead of a flat 1
-  /// (which made any post-grouping pipeline look nearly free).
+  /// output, the subscript's estimated cardinality for SET_APPLY/ARR_APPLY
+  /// output (SET_COLLAPSE's fan-out when the subscript builds a
+  /// collection). SET_APPLY/ARR_APPLY feed this to their subscript as
+  /// INPUT's cardinality, so per-group work inside an apply-over-groups
+  /// plan is charged for the elements each group actually holds instead of
+  /// a flat 1 (which made any post-grouping pipeline look nearly free).
   double elem_cardinality = 1;
 };
 
@@ -61,6 +63,8 @@ class CostModel {
  private:
   Result<CostEstimate> EstimateNode(const Expr& e, double input_card) const;
   double PredicateCost(const Predicate& p, double input_card) const;
+  /// Per-pair cost of a join's COMP operand binder (0 without one).
+  double OpndCost(const Expr& e) const;
 
   const Database* db_;
   CostParams params_;

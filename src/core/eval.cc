@@ -627,6 +627,29 @@ Result<ValuePtr> Evaluator::EvalNodeImpl(const Expr& e, const Ctx& ctx) {
   return Status::Internal("unknown operator kind");
 }
 
+Status Evaluator::EmitComp(const Expr& e, ValuePtr elem, int64_t count,
+                           const Ctx& ctx, std::vector<SetEntry>* out) {
+  if (e.sub() != nullptr) {
+    Ctx inner = ctx;
+    inner.input = std::move(elem);
+    EXA_ASSIGN_OR_RETURN(elem, EvalNode(*e.sub(), inner));
+    if (elem->is_dne()) return Status::OK();  // multiset construction drops it
+    if (elem->is_unk()) {
+      out->push_back({std::move(elem), count});
+      return Status::OK();
+    }
+  }
+  Ctx pin = ctx;
+  pin.input = elem;
+  EXA_ASSIGN_OR_RETURN(Truth t, EvalPred(*e.pred(), pin));
+  if (t == Truth::kTrue) {
+    out->push_back({std::move(elem), count});
+  } else if (t == Truth::kUnk) {
+    out->push_back({Value::Unk(), count});
+  }
+  return Status::OK();
+}
+
 Result<ValuePtr> Evaluator::EvalHashJoin(const Expr& e, const Ctx& ctx) {
   EXA_ASSIGN_OR_RETURN(ValuePtr va, EvalNode(*e.child(0), ctx));
   EXA_ASSIGN_OR_RETURN(ValuePtr vb, EvalNode(*e.child(1), ctx));
@@ -663,12 +686,9 @@ Result<ValuePtr> Evaluator::EvalHashJoin(const Expr& e, const Ctx& ctx) {
       obs::MetricsRegistry::Global().GetHistogram("hashjoin.chain_length");
   int64_t pairs_tested = 0;
 
-  const Predicate& theta = *e.pred();
   std::vector<SetEntry> out;
-  // Evaluates the *full* predicate θ on one (a, b) pair; this is what makes
-  // the operator answer-equal to SET_APPLY[COMP_θ](CROSS): true keeps the
-  // pair, unk contributes unk occurrences, false drops it — exactly COMP's
-  // contract followed by multiset construction dropping dne.
+  // Runs the full COMP_θ(opnd) on one (a, b) pair; this is what makes the
+  // operator answer-equal to SET_APPLY[COMP_θ(opnd)](CROSS).
   GovernorBatch batch(governor_);
   int64_t pair_bytes = -1, pending_bytes = 0;
   auto emit_pair = [&](const SetEntry& ea, const SetEntry& eb) -> Status {
@@ -686,20 +706,7 @@ Result<ValuePtr> Evaluator::EvalHashJoin(const Expr& e, const Ctx& ctx) {
         EXA_RETURN_NOT_OK(governor_->ChargeBytes(n));
       }
     }
-    Ctx inner = ctx;
-    inner.input = pair;
-    EXA_ASSIGN_OR_RETURN(Truth t, EvalPred(theta, inner));
-    switch (t) {
-      case Truth::kTrue:
-        out.push_back({std::move(pair), ea.count * eb.count});
-        break;
-      case Truth::kUnk:
-        out.push_back({Value::Unk(), ea.count * eb.count});
-        break;
-      case Truth::kFalse:
-        break;
-    }
-    return Status::OK();
+    return EmitComp(e, std::move(pair), ea.count * eb.count, ctx, &out);
   };
 
   auto flush_join_budget = [&]() -> Status {
@@ -819,22 +826,7 @@ Result<ValuePtr> Evaluator::ProbeScanFallback(const Expr& e,
   GovernorBatch batch(governor_);
   for (const auto& entry : base->entries()) {
     EXA_RETURN_NOT_OK(batch.Tick());
-    Ctx inner = ctx;
-    inner.input = entry.value;
-    EXA_ASSIGN_OR_RETURN(ValuePtr o, EvalNode(*e.sub(), inner));
-    if (o->is_dne()) continue;  // multiset construction drops dne
-    if (o->is_unk()) {
-      out.push_back({Value::Unk(), entry.count});
-      continue;
-    }
-    Ctx pin = ctx;
-    pin.input = o;
-    EXA_ASSIGN_OR_RETURN(Truth t, EvalPred(*e.pred(), pin));
-    if (t == Truth::kTrue) {
-      out.push_back({std::move(o), entry.count});
-    } else if (t == Truth::kUnk) {
-      out.push_back({Value::Unk(), entry.count});
-    }
+    EXA_RETURN_NOT_OK(EmitComp(e, entry.value, entry.count, ctx, &out));
   }
   EXA_RETURN_NOT_OK(batch.Flush());
   return Value::SetOfCounted(std::move(out));
@@ -884,31 +876,12 @@ Result<ValuePtr> Evaluator::EvalIndexProbe(const Expr& e, const Ctx& ctx) {
   std::vector<SetEntry> out;
   GovernorBatch batch(governor_);
   int64_t candidates = 0;
-  // Per-element contract of SET_APPLY[COMP_θ(opnd)]: evaluate the operand
-  // binder on the element, propagate its nulls (dne drops, unk survives as
-  // an unk occurrence), then COMP's θ on the operand result. Skipping a
-  // non-matching bucket is exact because its indexed atom is false, which
-  // makes the conjunction θ false and COMP yield dne.
+  // Skipping a non-matching bucket is exact because its indexed atom is
+  // false, which makes the conjunction θ false and COMP yield dne.
   auto emit = [&](const SetEntry& entry) -> Status {
     ++candidates;
     EXA_RETURN_NOT_OK(batch.Tick());
-    Ctx inner = ctx;
-    inner.input = entry.value;
-    EXA_ASSIGN_OR_RETURN(ValuePtr o, EvalNode(*e.sub(), inner));
-    if (o->is_dne()) return Status::OK();
-    if (o->is_unk()) {
-      out.push_back({Value::Unk(), entry.count});
-      return Status::OK();
-    }
-    Ctx pin = ctx;
-    pin.input = o;
-    EXA_ASSIGN_OR_RETURN(Truth t, EvalPred(*e.pred(), pin));
-    if (t == Truth::kTrue) {
-      out.push_back({std::move(o), entry.count});
-    } else if (t == Truth::kUnk) {
-      out.push_back({Value::Unk(), entry.count});
-    }
-    return Status::OK();
+    return EmitComp(e, entry.value, entry.count, ctx, &out);
   };
   auto emit_all = [&](const std::vector<SetEntry>& entries) -> Status {
     for (const auto& entry : entries) EXA_RETURN_NOT_OK(emit(entry));
@@ -1052,14 +1025,13 @@ Result<ValuePtr> Evaluator::EvalIndexJoin(const Expr& e, const Ctx& ctx) {
     return Value::EmptySet();
   }
 
-  const Predicate& theta = *e.pred();
   std::vector<SetEntry> out;
   int64_t candidates = 0;
   GovernorBatch batch(governor_);
   int64_t pair_bytes = -1, pending_bytes = 0;
-  // Same contract as EvalHashJoin's emit_pair: the full θ runs on every
-  // candidate pair, which keeps the operator answer-equal to
-  // SET_APPLY[COMP_θ](CROSS) no matter how coarse the bucket match was.
+  // Same contract as EvalHashJoin's emit_pair: the full COMP_θ(opnd) runs
+  // on every candidate pair, which keeps the operator answer-equal to
+  // SET_APPLY[COMP_θ(opnd)](CROSS) no matter how coarse the bucket match was.
   auto emit_pair = [&](const SetEntry& ea, const SetEntry& eb) -> Status {
     ++candidates;
     ValuePtr pair = Value::TupleOf({ea.value, eb.value});
@@ -1073,20 +1045,7 @@ Result<ValuePtr> Evaluator::EvalIndexJoin(const Expr& e, const Ctx& ctx) {
         EXA_RETURN_NOT_OK(governor_->ChargeBytes(n));
       }
     }
-    Ctx inner = ctx;
-    inner.input = pair;
-    EXA_ASSIGN_OR_RETURN(Truth t, EvalPred(theta, inner));
-    switch (t) {
-      case Truth::kTrue:
-        out.push_back({std::move(pair), ea.count * eb.count});
-        break;
-      case Truth::kUnk:
-        out.push_back({Value::Unk(), ea.count * eb.count});
-        break;
-      case Truth::kFalse:
-        break;
-    }
-    return Status::OK();
+    return EmitComp(e, std::move(pair), ea.count * eb.count, ctx, &out);
   };
   // Candidates come out of the index raw; the indexed child's per-element
   // mapping (if any) runs only on them — never running it over the rest of

@@ -195,6 +195,12 @@ class Evaluator {
   /// unusable: SET_APPLY[COMP_θ(opnd)] semantics inline over the base set.
   Result<ValuePtr> ProbeScanFallback(const Expr& e, const ValuePtr& base,
                                      const Ctx& ctx);
+  /// One element's SET_APPLY[COMP_θ(opnd)] contract, shared by the
+  /// physical operators: opnd is e.sub() (the element itself when absent);
+  /// a null operand result propagates (dne drops, unk survives as an unk
+  /// occurrence), otherwise θ = e.pred() keeps it, turns it unk, or drops it.
+  Status EmitComp(const Expr& e, ValuePtr elem, int64_t count, const Ctx& ctx,
+                  std::vector<SetEntry>* out);
   Result<ValuePtr> EvalArith(const ValuePtr& a, const ValuePtr& b,
                              const std::string& op);
   Result<ValuePtr> EvalMethodCall(const Expr& e, std::vector<ValuePtr> vals,

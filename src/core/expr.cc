@@ -253,12 +253,10 @@ std::string ParamString(const Expr& e) {
 std::string Expr::ToString() const {
   std::string head = OpKindToString(kind_);
   std::string param = ParamString(*this);
+  // Physical operators carry both an operand binder and θ; show both.
   std::string subscript;
-  if (sub_ != nullptr) {
-    subscript = StrCat("[", sub_->ToString(), "]");
-  } else if (pred_ != nullptr) {
-    subscript = StrCat("[", pred_->ToString(), "]");
-  }
+  if (sub_ != nullptr) subscript = StrCat("[", sub_->ToString(), "]");
+  if (pred_ != nullptr) subscript += StrCat("[", pred_->ToString(), "]");
   if (kind_ == OpKind::kInput) return "INPUT";
   if (kind_ == OpKind::kConst) return param;
   if (kind_ == OpKind::kVar) return param;
@@ -303,7 +301,8 @@ void TreeString(const Expr& e, int depth, std::string* out) {
     out->append("[");
     out->append(e.sub()->ToString());
     out->append("]");
-  } else if (e.pred() != nullptr) {
+  }
+  if (e.pred() != nullptr) {
     out->append("[");
     out->append(e.pred()->ToString());
     out->append("]");

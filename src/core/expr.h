@@ -72,12 +72,14 @@ enum class OpKind {
   // exist so the evaluator can run the §5 cost arguments as real
   // asymptotics instead of qualitative occurrence counts.
   //
-  // HASH_JOIN(A, B, kA, kB)[θ] is answer-equal to
-  // SET_APPLY[COMP_θ(INPUT)](CROSS(A, B)): children 0/1 are the data
+  // HASH_JOIN(A, B, kA, kB)[opnd][θ] is answer-equal to
+  // SET_APPLY[COMP_θ(opnd)](CROSS(A, B)): children 0/1 are the data
   // inputs; children 2/3 are per-element key expressions (INPUT bound to an
   // element of A resp. B — they are *binders*, like subscripts, not data
-  // children); pred() carries the full original predicate θ, re-evaluated
-  // on key-matching pairs only (its INPUT is the pair tuple (_1, _2)).
+  // children); the optional sub() is the COMP operand binder over the pair
+  // tuple (_1, _2) (absent: the pair itself), as IDX_PROBE's; pred()
+  // carries the full original predicate θ, re-evaluated on key-matching
+  // pairs only (its INPUT is the operand result).
   kHashJoin,
 
   // IDX_PROBE(probe)[sub][θ] is answer-equal to
@@ -90,7 +92,7 @@ enum class OpKind {
   // S when the index is missing or unusable.
   kIndexProbe,
 
-  // IDX_JOIN(A, B, kA, kB)[θ] has the same shape and answer as HASH_JOIN
+  // IDX_JOIN(A, B, kA, kB)[opnd][θ] has the same shape and answer as HASH_JOIN
   // but serves one side's key partitions from a secondary index instead of
   // building a hash table by scanning that side. name() is the index name;
   // index() is the indexed side (0 = A, 1 = B). Falls back to EvalHashJoin

@@ -211,17 +211,22 @@ Result<SchemaPtr> TypeInference::InferNode(const Expr& e, const SchemaPtr& input
       return Schema::Set(
           Schema::Tup({{"_1", ElemOf(a)}, {"_2", ElemOf(b)}}));
     }
-    case OpKind::kHashJoin: {
+    case OpKind::kHashJoin:
+    case OpKind::kIndexJoin: {
+      const char* op = OpKindToString(e.kind());
       EXA_ASSIGN_OR_RETURN(SchemaPtr a, InferNode(*e.child(0), input));
       EXA_ASSIGN_OR_RETURN(SchemaPtr b, InferNode(*e.child(1), input));
-      EXA_RETURN_NOT_OK(ExpectCtor(a, TypeCtor::kSet, "HASH_JOIN"));
-      EXA_RETURN_NOT_OK(ExpectCtor(b, TypeCtor::kSet, "HASH_JOIN"));
+      EXA_RETURN_NOT_OK(ExpectCtor(a, TypeCtor::kSet, op));
+      EXA_RETURN_NOT_OK(ExpectCtor(b, TypeCtor::kSet, op));
       // The key expressions must type-check over an element of their side.
       EXA_RETURN_NOT_OK(Infer(e.child(2), ElemOf(a)).status());
       EXA_RETURN_NOT_OK(Infer(e.child(3), ElemOf(b)).status());
-      // Same output shape as the CROSS it replaces (θ only filters).
-      return Schema::Set(
-          Schema::Tup({{"_1", ElemOf(a)}, {"_2", ElemOf(b)}}));
+      // Same output shape as the SET_APPLY[COMP_θ(opnd)](CROSS) it replaces
+      // (θ only filters; opnd defaults to the pair itself).
+      SchemaPtr pair = Schema::Tup({{"_1", ElemOf(a)}, {"_2", ElemOf(b)}});
+      if (e.sub() == nullptr) return Schema::Set(std::move(pair));
+      EXA_ASSIGN_OR_RETURN(SchemaPtr out, Infer(e.sub(), std::move(pair)));
+      return Schema::Set(std::move(out));
     }
     case OpKind::kIndexProbe: {
       // Probe expression is closed relative to the set element; it still
@@ -236,17 +241,6 @@ Result<SchemaPtr> TypeInference::InferNode(const Expr& e, const SchemaPtr& input
       // binder applied to an element of the base set.
       EXA_ASSIGN_OR_RETURN(SchemaPtr out, Infer(e.sub(), ElemOf(base)));
       return Schema::Set(std::move(out));
-    }
-    case OpKind::kIndexJoin: {
-      EXA_ASSIGN_OR_RETURN(SchemaPtr a, InferNode(*e.child(0), input));
-      EXA_ASSIGN_OR_RETURN(SchemaPtr b, InferNode(*e.child(1), input));
-      EXA_RETURN_NOT_OK(ExpectCtor(a, TypeCtor::kSet, "IDX_JOIN"));
-      EXA_RETURN_NOT_OK(ExpectCtor(b, TypeCtor::kSet, "IDX_JOIN"));
-      EXA_RETURN_NOT_OK(Infer(e.child(2), ElemOf(a)).status());
-      EXA_RETURN_NOT_OK(Infer(e.child(3), ElemOf(b)).status());
-      // Same output shape as the HASH_JOIN / CROSS it replaces.
-      return Schema::Set(
-          Schema::Tup({{"_1", ElemOf(a)}, {"_2", ElemOf(b)}}));
     }
     case OpKind::kSetCollapse: {
       EXA_ASSIGN_OR_RETURN(SchemaPtr in, InferNode(*e.child(0), input));

@@ -1,5 +1,7 @@
 #include "core/physical.h"
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,53 +58,6 @@ bool EquiKeys(const Predicate& p, ExprPtr* lkey, ExprPtr* rkey) {
   return false;
 }
 
-/// Matches SET_APPLY[COMP_θ(INPUT)](CROSS(A, B)) with an equality atom
-/// between the sides and builds the HASH_JOIN replacement, or returns null.
-ExprPtr TryHashJoin(const ExprPtr& e) {
-  if (e->kind() != OpKind::kSetApply || !e->type_filter().empty()) {
-    return nullptr;
-  }
-  const ExprPtr& sub = e->sub();
-  if (sub->kind() != OpKind::kComp ||
-      sub->child(0)->kind() != OpKind::kInput) {
-    return nullptr;
-  }
-  const ExprPtr& cross = e->child(0);
-  if (cross->kind() != OpKind::kCross) return nullptr;
-
-  std::vector<PredicatePtr> conj;
-  Conjuncts(sub->pred(), &conj);
-  std::vector<ExprPtr> lkeys, rkeys;
-  for (const auto& c : conj) {
-    ExprPtr lk, rk;
-    if (EquiKeys(*c, &lk, &rk)) {
-      lkeys.push_back(std::move(lk));
-      rkeys.push_back(std::move(rk));
-    }
-  }
-  if (lkeys.empty()) return nullptr;
-
-  ExprPtr lkey, rkey;
-  if (lkeys.size() == 1) {
-    lkey = std::move(lkeys[0]);
-    rkey = std::move(rkeys[0]);
-  } else {
-    // Composite key: a positional tuple per side. Tuple equality compares
-    // positionally on values, so key equality is the conjunction of the
-    // atoms; a dne/unk component poisons the whole key through the
-    // evaluator's uniform null propagation, which is what routes the
-    // element to the right fallback bucket.
-    lkey = alg::TupMake(std::move(lkeys[0]));
-    rkey = alg::TupMake(std::move(rkeys[0]));
-    for (size_t i = 1; i < lkeys.size(); ++i) {
-      lkey = alg::TupCat(std::move(lkey), alg::TupMake(std::move(lkeys[i])));
-      rkey = alg::TupCat(std::move(rkey), alg::TupMake(std::move(rkeys[i])));
-    }
-  }
-  return alg::HashJoin(sub->pred(), cross->child(0), cross->child(1),
-                       std::move(lkey), std::move(rkey));
-}
-
 /// Parses a pure extraction path over a free INPUT — a TUP_EXTRACT chain
 /// with DEREFs interleaved — exactly as the index extractor walks it
 /// (derefs happen lazily en route to the next field, never after the last
@@ -127,6 +82,249 @@ bool ExtractionPath(const ExprPtr& e, std::vector<std::string>* path) {
 /// ends in DEREF): the extractor never derefs after the last field, so such
 /// keys only line up with an index when more fields follow the deref.
 bool EndsInDeref(const ExprPtr& e) { return e->kind() == OpKind::kDeref; }
+
+/// A subscript split around its selection: sub = χ(COMP_θ(opnd)), with χ
+/// null when the COMP is the whole subscript. Rule-15 fusion leaves
+/// translated plans in this shape (the target list composed over the where
+/// clause). Replacing SET_APPLY[sub] by SET_APPLY[χ] over an operator that
+/// emits the COMP's non-dne results is exact when χ reaches its INPUT only
+/// through (equal copies of) the COMP and maps dne to dne, so occurrences
+/// the COMP dropped stay dropped.
+struct CompSplit {
+  ExprPtr chi;
+  ExprPtr comp;
+};
+
+/// First COMP over the subscript's free INPUT, outside nested binders.
+ExprPtr FindComp(const ExprPtr& e) {
+  if (e->kind() == OpKind::kComp) {
+    return analysis::ContainsFreeInput(e->child(0)) ? e : nullptr;
+  }
+  for (const auto& c : e->children()) {
+    if (ExprPtr found = FindComp(c)) return found;
+  }
+  return nullptr;
+}
+
+std::optional<CompSplit> PeelComp(const ExprPtr& sub) {
+  ExprPtr comp = FindComp(sub);
+  if (comp == nullptr) return std::nullopt;
+  if (comp == sub) return CompSplit{nullptr, std::move(comp)};
+  ExprPtr chi = analysis::ReplaceSubtree(sub, comp, alg::Input());
+  if (!analysis::SubstituteInput(chi, comp)->Equals(*sub) ||
+      !analysis::DneStrictInInput(chi)) {
+    return std::nullopt;
+  }
+  return CompSplit{std::move(chi), std::move(comp)};
+}
+
+/// SET_APPLY[χ](op), or op itself when there is no χ.
+ExprPtr Rewrap(const CompSplit& split, ExprPtr op) {
+  return split.chi == nullptr ? op
+                              : alg::SetApply(split.chi, std::move(op));
+}
+
+/// The translator's environment extension over a CROSS pair: tuple
+/// constructors over the pair's components. Over two non-null components
+/// it is never null, which is what lets a join skip key-mismatched pairs.
+bool IsPairConstructor(const ExprPtr& e) {
+  switch (e->kind()) {
+    case OpKind::kTupCat:
+      return IsPairConstructor(e->child(0)) && IsPairConstructor(e->child(1));
+    case OpKind::kTupMake:
+      return IsPairConstructor(e->child(0));
+    case OpKind::kTupExtract:
+      return (e->name() == "_1" || e->name() == "_2") &&
+             e->child(0)->kind() == OpKind::kInput;
+    default:
+      return false;
+  }
+}
+
+using Fields = std::optional<std::vector<std::string>>;
+
+Fields ElementFields(const ExprPtr& set);
+
+/// Field names, in order, of the tuples constructor `c` builds with INPUT
+/// bound to an element of the multiset `in`; nullopt when they do not show
+/// in the plan's structure (say, an element of a named set).
+Fields BuiltFields(const ExprPtr& c, const ExprPtr& in) {
+  switch (c->kind()) {
+    case OpKind::kTupMake:
+      return Fields{{c->name().empty() ? "_1" : c->name()}};
+    case OpKind::kTupCat: {
+      Fields a = BuiltFields(c->child(0), in);
+      Fields b = BuiltFields(c->child(1), in);
+      if (!a.has_value() || !b.has_value()) return std::nullopt;
+      a->insert(a->end(), b->begin(), b->end());
+      return a;
+    }
+    case OpKind::kComp:
+      return BuiltFields(c->child(0), in);
+    case OpKind::kInput:
+      return ElementFields(in);
+    case OpKind::kTupExtract:
+      if (c->child(0)->kind() != OpKind::kInput ||
+          in->kind() != OpKind::kCross) {
+        return std::nullopt;
+      }
+      if (c->name() == "_1") return ElementFields(in->child(0));
+      if (c->name() == "_2") return ElementFields(in->child(1));
+      return std::nullopt;
+    default:
+      return std::nullopt;
+  }
+}
+
+/// Field names of a multiset's tuple elements, read off the operator that
+/// builds them. Lowering runs bottom-up, so the sides of a join may already
+/// be physical.
+Fields ElementFields(const ExprPtr& set) {
+  switch (set->kind()) {
+    case OpKind::kCross:
+      return Fields{{"_1", "_2"}};
+    case OpKind::kSetApply:
+      if (!set->type_filter().empty()) return std::nullopt;
+      return BuiltFields(set->sub(), set->child(0));
+    case OpKind::kDupElim:
+      return ElementFields(set->child(0));
+    case OpKind::kHashJoin:
+    case OpKind::kIndexJoin:
+      // The operand sees the pairs of the two sides.
+      if (set->sub() == nullptr) return Fields{{"_1", "_2"}};
+      return BuiltFields(set->sub(),
+                         alg::Cross(set->child(0), set->child(1)));
+    case OpKind::kIndexProbe:
+      return BuiltFields(set->sub(), nullptr);
+    default:
+      return std::nullopt;
+  }
+}
+
+bool HasField(const Fields& f, const std::string& name) {
+  return std::find(f->begin(), f->end(), name) != f->end();
+}
+
+/// TUP_EXTRACT<name> of what pair constructor `c` builds over a pair of
+/// `cross`, resolved to an expression over the pair. TUP_CAT keeps
+/// duplicate names and field access takes the first, so the field comes
+/// from the leftmost component that has it; every component before it must
+/// provably lack it. Null when that cannot be shown.
+ExprPtr FieldOf(const std::string& name, const ExprPtr& c,
+                const ExprPtr& cross) {
+  switch (c->kind()) {
+    case OpKind::kTupCat: {
+      Fields left = BuiltFields(c->child(0), cross);
+      if (!left.has_value()) return nullptr;
+      return FieldOf(name, HasField(left, name) ? c->child(0) : c->child(1),
+                     cross);
+    }
+    case OpKind::kTupMake:
+      return (c->name().empty() ? "_1" : c->name()) == name ? c->child(0)
+                                                            : nullptr;
+    default:  // a pair component
+      return alg::TupExtract(name, c);
+  }
+}
+
+/// An extraction path over INPUT, with INPUT bound to pair constructor
+/// `opnd`, rewritten into a path over the pair (the work of rules 25
+/// extract-from-tupcat and extract-from-tupmake, done on the structure
+/// alone). Null for other expressions and for paths that stop inside the
+/// constructor.
+ExprPtr ReadThrough(const ExprPtr& e, const ExprPtr& opnd,
+                    const ExprPtr& cross) {
+  auto is_ctor = [](const ExprPtr& x) {
+    return x->kind() == OpKind::kTupCat || x->kind() == OpKind::kTupMake;
+  };
+  switch (e->kind()) {
+    case OpKind::kInput:
+      return opnd;
+    case OpKind::kDeref: {
+      ExprPtr x = ReadThrough(e->child(0), opnd, cross);
+      if (x == nullptr || is_ctor(x)) return nullptr;
+      return alg::Deref(std::move(x));
+    }
+    case OpKind::kTupExtract: {
+      ExprPtr x = ReadThrough(e->child(0), opnd, cross);
+      if (x == nullptr) return nullptr;
+      return is_ctor(x) ? FieldOf(e->name(), x, cross)
+                        : alg::TupExtract(e->name(), std::move(x));
+    }
+    default:
+      return nullptr;
+  }
+}
+
+/// Matches SET_APPLY[χ(COMP_θ(opnd))](CROSS(A, B)) with an equality atom
+/// between the sides and builds SET_APPLY[χ](HASH_JOIN) (or the bare
+/// HASH_JOIN), or returns null. opnd is the pair itself or — for joins
+/// translated from EXCESS — the environment extension, which the join then
+/// evaluates on key-matching pairs. Skipping the other pairs stays exact
+/// because their keys are non-null: with extraction-path binders both
+/// elements are then non-null, so the operand is too and θ's key atom
+/// decides the pair (false).
+ExprPtr TryHashJoin(const ExprPtr& e) {
+  if (e->kind() != OpKind::kSetApply || !e->type_filter().empty()) {
+    return nullptr;
+  }
+  const ExprPtr& cross = e->child(0);
+  if (cross->kind() != OpKind::kCross) return nullptr;
+  auto split = PeelComp(e->sub());
+  if (!split.has_value()) return nullptr;
+  const ExprPtr& opnd = split->comp->child(0);
+  const PredicatePtr& theta = split->comp->pred();
+  const bool over_pair = opnd->kind() == OpKind::kInput;
+  if (!over_pair && !IsPairConstructor(opnd)) return nullptr;
+
+  std::vector<PredicatePtr> conj;
+  Conjuncts(theta, &conj);
+  std::vector<ExprPtr> lkeys, rkeys;
+  for (const auto& c : conj) {
+    ExprPtr lk, rk;
+    if (over_pair) {
+      if (!EquiKeys(*c, &lk, &rk)) continue;
+    } else {
+      // θ reads the environment: find the keys through the constructor.
+      // They must be extraction paths, as a non-strict key could hide a
+      // null element.
+      if (c->kind != Predicate::Kind::kAtom || c->cmp != CmpOp::kEq) continue;
+      ExprPtr lhs = ReadThrough(c->lhs, opnd, cross);
+      ExprPtr rhs = ReadThrough(c->rhs, opnd, cross);
+      std::vector<std::string> unused;
+      if (lhs == nullptr || rhs == nullptr ||
+          !EquiKeys(*Predicate::Atom(lhs, CmpOp::kEq, rhs), &lk, &rk) ||
+          !ExtractionPath(lk, &unused) || !ExtractionPath(rk, &unused)) {
+        continue;
+      }
+    }
+    lkeys.push_back(std::move(lk));
+    rkeys.push_back(std::move(rk));
+  }
+  if (lkeys.empty()) return nullptr;
+
+  ExprPtr lkey, rkey;
+  if (lkeys.size() == 1) {
+    lkey = std::move(lkeys[0]);
+    rkey = std::move(rkeys[0]);
+  } else {
+    // Composite key: a positional tuple per side. Tuple equality compares
+    // positionally on values, so key equality is the conjunction of the
+    // atoms; a dne/unk component poisons the whole key through the
+    // evaluator's uniform null propagation, which is what routes the
+    // element to the right fallback bucket.
+    lkey = alg::TupMake(std::move(lkeys[0]));
+    rkey = alg::TupMake(std::move(rkeys[0]));
+    for (size_t i = 1; i < lkeys.size(); ++i) {
+      lkey = alg::TupCat(std::move(lkey), alg::TupMake(std::move(lkeys[i])));
+      rkey = alg::TupCat(std::move(rkey), alg::TupMake(std::move(rkeys[i])));
+    }
+  }
+  return Rewrap(*split,
+                alg::HashJoin(theta, cross->child(0), cross->child(1),
+                              std::move(lkey), std::move(rkey),
+                              over_pair ? nullptr : opnd));
+}
 
 /// A probe can be hoisted out of the per-element predicate only when it is
 /// closed (no free INPUT) and side-effect-free / deterministic (no REF
@@ -172,16 +370,9 @@ ExprPtr TryIndexProbe(const ExprPtr& e, const LowerCtx& lctx) {
     return nullptr;
   }
   if (e->child(0)->kind() != OpKind::kVar) return nullptr;
-  // Peel the pure extraction suffix χ off the subscript (rule-15 fusion
-  // leaves the projection wrapped around the COMP in translated plans).
-  std::vector<const Expr*> suffix;  // outermost first
-  ExprPtr sub = e->sub();
-  while (sub->kind() == OpKind::kTupExtract ||
-         sub->kind() == OpKind::kDeref) {
-    suffix.push_back(sub.get());
-    sub = sub->child(0);
-  }
-  if (sub->kind() != OpKind::kComp) return nullptr;
+  auto split = PeelComp(e->sub());
+  if (!split.has_value()) return nullptr;
+  const ExprPtr& sub = split->comp;
   const std::string& set_name = e->child(0)->name();
   std::vector<const SecondaryIndex*> indexes = lctx.db->IndexesOn(set_name);
   if (indexes.empty()) return nullptr;
@@ -260,18 +451,9 @@ ExprPtr TryIndexProbe(const ExprPtr& e, const LowerCtx& lctx) {
       for (const SecondaryIndex* idx : indexes) {
         if (idx->def().path != full) continue;
         if (range_cmp && idx->def().kind != IndexKind::kOrdered) continue;
-        ExprPtr cand = alg::IndexProbe(idx->def().name, set_name, f.cmp,
-                                       f.probe, opnd, sub->pred());
-        if (!suffix.empty()) {
-          // Re-wrap the peeled extraction steps around the probe's output.
-          ExprPtr chi = alg::Input();
-          for (auto it = suffix.rbegin(); it != suffix.rend(); ++it) {
-            chi = (*it)->kind() == OpKind::kDeref
-                      ? alg::Deref(std::move(chi))
-                      : alg::TupExtract((*it)->name(), std::move(chi));
-          }
-          cand = alg::SetApply(std::move(chi), std::move(cand));
-        }
+        ExprPtr cand =
+            Rewrap(*split, alg::IndexProbe(idx->def().name, set_name, f.cmp,
+                                           f.probe, opnd, sub->pred()));
         auto est = lctx.cost->Estimate(cand);
         if (!est.ok() || est->total >= best_total) continue;
         best_total = est->total;
@@ -320,10 +502,9 @@ ExprPtr TryIndexJoin(const ExprPtr& hj, const LowerCtx& lctx) {
     path.insert(path.end(), binder_path.begin(), binder_path.end());
     for (const SecondaryIndex* idx : lctx.db->IndexesOn(set_name)) {
       if (idx->def().path != path) continue;
-      ExprPtr cand = alg::IndexJoin(idx->def().name,
-                                    static_cast<int64_t>(side), hj->pred(),
-                                    hj->child(0), hj->child(1), hj->child(2),
-                                    hj->child(3));
+      ExprPtr cand = alg::IndexJoin(
+          idx->def().name, static_cast<int64_t>(side), hj->pred(),
+          hj->child(0), hj->child(1), hj->child(2), hj->child(3), hj->sub());
       auto est = lctx.cost->Estimate(cand);
       if (!est.ok() || est->total >= best_total) continue;
       best_total = est->total;
@@ -390,8 +571,11 @@ ExprPtr LowerNode(const ExprPtr& e, const LowerCtx& lctx) {
                          e->index_is_last(), e->lo_is_last(), e->hi_is_last())
               : e;
   if (ExprPtr hj = TryHashJoin(cur)) {
-    if (ExprPtr ij = TryIndexJoin(hj, lctx)) {
-      return Adopt(IndexJoinRule(), lctx, cur, std::move(ij));
+    // The join may come back under the peeled χ.
+    ExprPtr join = hj->kind() == OpKind::kHashJoin ? hj : hj->child(0);
+    if (ExprPtr ij = TryIndexJoin(join, lctx)) {
+      return Adopt(IndexJoinRule(), lctx, cur,
+                   join == hj ? ij : hj->WithChild(0, std::move(ij)));
     }
     return hj;
   }

@@ -1,9 +1,12 @@
 #include "core/planner.h"
 
 #include <algorithm>
+#include <optional>
 #include <queue>
 #include <unordered_map>
 
+#include "core/builder.h"
+#include "core/infer.h"
 #include "core/physical.h"
 #include "obs/metrics.h"
 
@@ -15,6 +18,78 @@ struct TreeKey {
   uint64_t hash;
   ExprPtr tree;
 };
+
+using Fields = std::optional<std::vector<std::string>>;
+
+/// Field names, in order, of the tuples constructor `c` builds.
+Fields CtorFields(const ExprPtr& c) {
+  switch (c->kind()) {
+    case OpKind::kTupMake:
+      return Fields{{c->name().empty() ? "_1" : c->name()}};
+    case OpKind::kTupCat: {
+      Fields a = CtorFields(c->child(0));
+      Fields b = CtorFields(c->child(1));
+      if (!a.has_value() || !b.has_value()) return std::nullopt;
+      a->insert(a->end(), b->begin(), b->end());
+      return a;
+    }
+    case OpKind::kProject:
+      return c->names();
+    case OpKind::kComp:
+      return CtorFields(c->child(0));
+    default:
+      return std::nullopt;
+  }
+}
+
+/// Row fields of a plan whose root (under DE) applies a tuple constructor,
+/// the common shape, read off the plan without type inference.
+Fields BuiltRowFields(const ExprPtr& plan) {
+  const Expr* e = plan.get();
+  if (e->kind() == OpKind::kDupElim) e = e->child(0).get();
+  if (e->kind() != OpKind::kSetApply) return std::nullopt;
+  return CtorFields(e->sub());
+}
+
+/// Field names of a result's rows: the tuples directly inside the result
+/// multiset, or inside its groups (`by`). Empty for other results.
+std::vector<std::string> RowFields(const SchemaPtr& result) {
+  std::vector<std::string> names;
+  if (!result->is_set() || result->elem() == nullptr) return names;
+  SchemaPtr row = result->elem();
+  if (row->is_set()) row = row->elem();
+  if (row == nullptr || !row->is_tup()) return names;
+  for (const Field& f : row->fields()) names.push_back(f.name);
+  return names;
+}
+
+/// Tuples compare by field name, so rules such as tupcat-commute (23) may
+/// pick a plan that builds the result rows with their fields in another
+/// order. Clients read columns by position: when the orders differ, the
+/// plan gets a projection that restores the query's.
+ExprPtr KeepRowOrder(const Database* db, const ExprPtr& query,
+                     ExprPtr plan) {
+  std::vector<std::string> names;
+  bool grouped = false;
+  Fields want = BuiltRowFields(query);
+  Fields got = BuiltRowFields(plan);
+  if (want.has_value() && got.has_value()) {
+    if (*want == *got) return plan;
+    names = std::move(*want);
+  } else {
+    // Other shapes (grouped results, say) are compared by their types.
+    TypeInference infer(db);
+    auto want_type = infer.Infer(query);
+    auto got_type = infer.Infer(plan);
+    if (!want_type.ok() || !got_type.ok()) return plan;
+    names = RowFields(*want_type);
+    if (names.size() < 2 || RowFields(*got_type) == names) return plan;
+    grouped = (*want_type)->elem()->is_set();
+  }
+  ExprPtr restore = alg::Project(std::move(names), alg::Input());
+  if (grouped) restore = alg::SetApply(std::move(restore), alg::Input());
+  return alg::SetApply(std::move(restore), std::move(plan));
+}
 
 }  // namespace
 
@@ -106,7 +181,7 @@ Result<std::vector<PlanChoice>> Planner::Enumerate(const ExprPtr& query) {
 
 Result<ExprPtr> Planner::Optimize(const ExprPtr& query) {
   EXA_ASSIGN_OR_RETURN(std::vector<PlanChoice> choices, Enumerate(query));
-  ExprPtr best = choices.front().plan;
+  ExprPtr best = KeepRowOrder(db_, query, choices.front().plan);
   if (options_.lower_physical) {
     best = options_.use_indexes
                ? LowerPhysical(best, db_, options_.cost_params, observer_)

@@ -45,7 +45,8 @@ class Planner {
   explicit Planner(const Database* db) : db_(db) {}
   Planner(const Database* db, Options options) : db_(db), options_(options) {}
 
-  /// Heuristic + cost-based optimization.
+  /// Heuristic + cost-based optimization. Result rows keep the field order
+  /// of `query`'s rows, whatever plan wins.
   Result<ExprPtr> Optimize(const ExprPtr& query);
 
   /// As Optimize, but also reports the considered alternatives (sorted by

@@ -23,6 +23,17 @@ bool CheapToReplicate(const ExprPtr& e) {
   return e->kind() == OpKind::kVar || e->kind() == OpKind::kConst;
 }
 
+/// A closed collection that always evaluates to a multiset: a named
+/// multiset or a multiset literal.
+bool IsStoredOrLiteralSet(const ExprPtr& e, const RuleContext& ctx) {
+  if (e->kind() == OpKind::kConst) {
+    return e->literal() != nullptr && e->literal()->is_set();
+  }
+  if (e->kind() != OpKind::kVar || ctx.db == nullptr) return false;
+  auto v = ctx.db->NamedValue(e->name());
+  return v.ok() && (*v)->is_set();
+}
+
 /// σ_P(INPUT) — a selection applied to the whole bound element.
 std::optional<PredicatePtr> MatchSelectOfInput(const ExprPtr& e) {
   auto pred = patterns::MatchSelect(e);
@@ -369,6 +380,40 @@ void RegisterMultisetRules(RuleSet* directed, RuleSet* exploratory) {
          }
          return alg::SetApply(SubstituteInput(e->sub(), inner->sub()),
                               inner->child(0), inner->type_filter());
+       }});
+
+  // --- Decorrelation (an Appendix-style consequence of rules 14 and 15,
+  // not numbered in the paper). The translator binds a second range
+  // variable by pairing each environment with the whole collection:
+  //   SET_COLLAPSE(SET_APPLY[SET_APPLY[f](CROSS(SET(g), B))](A))
+  //     = SET_APPLY[f](CROSS(SET_APPLY[g](A), B))     B closed
+  // When B does not depend on the environment, every environment meets the
+  // same B, so one product over all environments replaces the per-element
+  // loop — the CROSS the join lowerings recognize. g's dne results drop on
+  // both sides; B must be a stored or literal multiset, so it is never a
+  // null the product would propagate. Cardinalities multiply identically.
+  directed->Add(
+      {0, "decorrelate-cross",
+       true,
+       [](const ExprPtr& e, const RuleContext& ctx) -> std::optional<ExprPtr> {
+         if (e->kind() != OpKind::kSetCollapse) return std::nullopt;
+         const ExprPtr& outer = e->child(0);
+         if (outer->kind() != OpKind::kSetApply) return std::nullopt;
+         const ExprPtr& inner = outer->sub();
+         if (!IsPlainSetApply(inner)) return std::nullopt;
+         const ExprPtr& cross = inner->child(0);
+         if (cross->kind() != OpKind::kCross ||
+             cross->child(0)->kind() != OpKind::kSetMake) {
+           return std::nullopt;
+         }
+         const ExprPtr& b = cross->child(1);
+         if (!IsStoredOrLiteralSet(b, ctx)) return std::nullopt;
+         const ExprPtr& g = cross->child(0)->child(0);
+         ExprPtr envs = g->kind() == OpKind::kInput && IsPlainSetApply(outer)
+                            ? outer->child(0)
+                            : alg::SetApply(g, outer->child(0),
+                                            outer->type_filter());
+         return alg::SetApply(inner->sub(), alg::Cross(std::move(envs), b));
        }});
 
   // --- Identity cleanups (not numbered in the paper; standard).

@@ -377,6 +377,41 @@ TEST_F(RulesTest, ExtractFromTupMakeCollapses) {
                           TupExtract("_1", TupMake(IntLit(9))));
 }
 
+TEST_F(RulesTest, DecorrelateCrossHoistsAnIndependentRange) {
+  // The translator's binding of a second range variable y over B, for each
+  // environment of x over A: SET_COLLAPSE(SET_APPLY[SET_APPLY[f](CROSS(
+  // SET(g), B))](A)). Duplicates on both sides, an unk element in B.
+  ASSERT_TRUE(db_.CreateNamed("B", Schema::Set(IntSchema()),
+                              Value::SetOfCounted({{I(1), 2}, {I(2), 1},
+                                                   {Value::Unk(), 1}}))
+                  .ok());
+  ExprPtr f = TupCat(TupExtract("_1", Input()),
+                     TupMakeNamed("y", TupExtract("_2", Input())));
+  auto dependent = [&](ExprPtr g, ExprPtr b) {
+    return SetCollapse(SetApply(
+        SetApply(f, Cross(SetMake(std::move(g)), std::move(b))),
+        Const(Value::SetOfCounted({{I(1), 3}, {I(5), 1}}))));
+  };
+  ExprPtr x = TupMakeNamed("x", Input());
+  ExpectEquivalentRewrite("decorrelate-cross", dependent(x, Var("B")));
+  // g may drop environments (dne): both sides drop them.
+  ExpectEquivalentRewrite(
+      "decorrelate-cross",
+      dependent(Comp(Gt(TupExtract("x", Input()), IntLit(2)), x),
+                Const(S({I(1), I(2)}))));
+  ExprPtr out = ApplyOnce("decorrelate-cross", dependent(x, Var("B")));
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->kind(), OpKind::kSetApply);
+  EXPECT_EQ(out->child(0)->kind(), OpKind::kCross);
+  // A range over the environment (from C in x.kids) stays dependent, and so
+  // does one whose collection is not known to be a multiset.
+  EXPECT_EQ(ApplyOnce("decorrelate-cross",
+                      dependent(x, SetMake(TupExtract("x", Input())))),
+            nullptr);
+  EXPECT_EQ(ApplyOnce("decorrelate-cross", dependent(x, Var("NoSuchSet"))),
+            nullptr);
+}
+
 TEST_F(RulesTest, Rule27CombinesComps) {
   ValuePtr t = Value::Tuple({"x", "y"}, {I(5), I(2)});
   ExprPtr e = Comp(Gt(TupExtract("x", Input()), IntLit(1)),

@@ -216,6 +216,39 @@ TEST_F(ServerTest, PingStatementsAndEpochs) {
   server.Shutdown();
 }
 
+TEST_F(ServerTest, JoinRowsRenderInTargetOrderOverTheWire) {
+  // The server optimizes every read; a join's columns must still arrive in
+  // target-list order, exactly as the unoptimized translation renders them.
+  const std::vector<std::string> seed = {
+      "retrieve ({(k: 1, v: 10), (k: 2, v: 20), (k: 2, v: 21)}) into Ps",
+      "retrieve ({(k: 2, v: 5), (k: 3, v: 6)}) into Qs",
+  };
+  const std::string join =
+      "retrieve (z: Q.v, a: P.v, m: P.k) from P in Ps, Q in Qs "
+      "where P.k = Q.k and P.v < 21";
+  Database db;
+  MethodRegistry methods(&db.catalog());
+  Session::Options raw;
+  raw.optimize = false;
+  raw.env_autoopen = false;
+  Session plain(&db, &methods, raw);
+  for (const auto& stmt : seed) ASSERT_TRUE(plain.Execute(stmt).ok()) << stmt;
+  auto want = plain.Execute(join);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ((*want)->ToString(), "{(z: 5, a: 20, m: 2)}");
+
+  Server server(Opts());
+  for (const auto& stmt : seed) ASSERT_TRUE(server.ExecuteLocal(stmt).ok());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::ConnectUnix(sock_);
+  ASSERT_TRUE(client.ok());
+  auto got = client->Execute(join);
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got->code, StatusCode::kOk) << got->message;
+  EXPECT_EQ(got->result, (*want)->ToString());
+  server.Shutdown();
+}
+
 TEST_F(ServerTest, ExecuteLocalSeedsBeforeClients) {
   Server server(Opts());
   ASSERT_TRUE(server.ExecuteLocal("create Nums: { int4 }").ok());
