@@ -56,7 +56,7 @@ Status FaultInjector::OnCharge(int64_t bytes) {
 namespace {
 
 constexpr uint64_t kFaultSalt = 0x6661756c74ull;  // "fault"
-constexpr int kPlansPerSeed = 3;
+constexpr int kPlansPerSeed = 4;
 
 Divergence MakeFaultDivergence(std::string detail, uint64_t seed,
                                const ExprPtr& plan, std::string message) {
@@ -106,17 +106,23 @@ Status CheckFaultSeed(uint64_t seed, const GenOptions& opts,
     // reaches the hash-join emit loop's checkpoints, not just EvalNode's.
     // The third slot is a join as the EXCESS translator emits it,
     // decorrelated and lowered: its HASH_JOIN / IDX_JOIN evaluates the
-    // environment operand on each key match.
+    // environment operand on each key match. The fourth is a two-bound
+    // range, lowered to the interval IDX_PROBE over its ordered index.
     ExprPtr plan;
     if (p == 0) {
       plan = RandomPlan(&rng, opts, gen);
     } else if (p == 1) {
       plan = LowerPhysical(RandomJoinPlan(&rng, opts, gen));
-    } else {
+    } else if (p == 2) {
       plan = RandomTranslatedJoinPlan(&rng, opts, gen);
       if (ExprPtr decorrelated = Decorrelated(db, plan)) {
         plan = LowerPhysical(decorrelated, &db, CostParams());
       }
+    } else {
+      Rng range_rng = IndependentRng(seed ^ kFaultSalt);
+      EXA_ASSIGN_OR_RETURN(ExprPtr range,
+                           RandomRangeProbePlan(&range_rng, opts, &db));
+      plan = LowerPhysical(range, &db, CostParams());
     }
     ++stats->plans;
 

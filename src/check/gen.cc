@@ -1,5 +1,6 @@
 #include "check/gen.h"
 
+#include <cmath>
 #include <utility>
 
 #include "catalog/catalog.h"
@@ -404,6 +405,73 @@ ExprPtr RandomTranslatedJoinPlan(Rng* rng, const GenOptions& opts,
     default:
       return DupElim(SetApply(var("y"), std::move(join)));
   }
+}
+
+Result<ExprPtr> RandomRangeProbePlan(Rng* rng, const GenOptions& opts,
+                                     Database* db) {
+  const ValuePtr nan = Value::Float(std::nan(""));
+  auto key = [&]() -> ValuePtr {
+    switch (rng->Int(0, 9)) {
+      case 0: return Value::Unk();
+      case 1: return Value::Dne();
+      case 2: return nan;
+      case 3: return Value::Float(static_cast<double>(rng->Int(0, 10)) / 2);
+      default: return Value::Int(rng->Int(0, 5));
+    }
+  };
+  std::vector<SetEntry> entries;
+  int n = static_cast<int>(rng->Int(0, opts.max_set_size + 2));
+  auto elem = [](ValuePtr k, ValuePtr v) {
+    return Value::Tuple({"k", "v"}, {std::move(k), std::move(v)});
+  };
+  for (int i = 0; i < n; ++i) {
+    ValuePtr k = key();
+    entries.push_back({elem(k, RandomIntScalar(rng, opts)), rng->Int(1, 3)});
+  }
+  if (rng->Chance(1, 12)) {
+    entries.push_back({elem(Value::Str("s"), Value::Int(0)), 1});
+  }
+  SchemaPtr pair = Schema::Tup({{"k", FloatSchema()}, {"v", IntSchema()}});
+  EXA_RETURN_NOT_OK(db->CreateNamed("Ranged", Schema::Set(pair),
+                                    Value::SetOfCounted(std::move(entries))));
+  EXA_RETURN_NOT_OK(
+      db->CreateIndex({"ranged_k", "Ranged", {"k"}, IndexKind::kOrdered}));
+
+  auto bound = [&]() -> ValuePtr {
+    switch (rng->Int(0, 9)) {
+      case 0: return Value::Unk();
+      case 1: return Value::Dne();
+      case 2: return nan;
+      case 3: return Value::Str("m");
+      case 4: return Value::Float(static_cast<double>(rng->Int(-1, 11)) / 2);
+      default: return Value::Int(rng->Int(-1, 6));
+    }
+  };
+  ValuePtr lo = bound();
+  ValuePtr hi = rng->Chance(1, 4) ? lo : bound();
+  // Key-on-the-left op, and its mirror for the probe-on-the-left form.
+  auto atom = [&](CmpOp op, CmpOp mirrored, const ValuePtr& b) {
+    return rng->Chance(1, 2)
+               ? Predicate::Atom(TupExtract("k", Input()), op, Const(b))
+               : Predicate::Atom(Const(b), mirrored, TupExtract("k", Input()));
+  };
+  PredicatePtr lower = rng->Chance(1, 2) ? atom(CmpOp::kGe, CmpOp::kLe, lo)
+                                         : atom(CmpOp::kGt, CmpOp::kLt, lo);
+  PredicatePtr upper = rng->Chance(1, 2) ? atom(CmpOp::kLe, CmpOp::kGe, hi)
+                                         : atom(CmpOp::kLt, CmpOp::kGt, hi);
+  PredicatePtr theta = rng->Chance(1, 2) ? Predicate::And(lower, upper)
+                                         : Predicate::And(upper, lower);
+  if (rng->Chance(1, 3)) {
+    PredicatePtr extra = RandomAtomOver(rng, TupExtract("v", Input()));
+    theta = rng->Chance(1, 2) ? Predicate::And(extra, theta)
+                              : Predicate::And(theta, extra);
+  }
+  if (rng->Chance(1, 3)) {
+    // The target list fused over the where clause (rule 15).
+    return SetApply(TupExtract("v", Comp(std::move(theta), Input())),
+                    Var("Ranged"));
+  }
+  return Select(std::move(theta), Var("Ranged"));
 }
 
 std::string MutateSource(Rng* rng, const std::string& source) {

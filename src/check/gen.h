@@ -49,6 +49,12 @@ class Rng {
   uint64_t state_;
 };
 
+/// A generator for `seed` whose stream shares no stretch with the streams
+/// of nearby seeds. Rng(s) after k draws is Rng(s + k), so the streams of
+/// consecutive seeds are shifts of one another, and a plan drawn after a
+/// varying number of draws repeats across seeds.
+inline Rng IndependentRng(uint64_t seed) { return Rng(Rng(seed).Next()); }
+
 /// Knobs for database/plan generation. The defaults keep everything tiny —
 /// the oracles trade instance size for iteration count, following the
 /// small-scope hypothesis (divergences that exist at all exist on small
@@ -112,6 +118,20 @@ ExprPtr RandomJoinPlan(Rng* rng, const GenOptions& opts, const GenDb& gen);
 /// drop environments (dne) through a selection.
 ExprPtr RandomTranslatedJoinPlan(Rng* rng, const GenOptions& opts,
                                  const GenDb& gen);
+
+/// A selection bounding an ordered index's key from both sides. Creates
+/// in `db` the named set "Ranged" of (k, v) tuples — int and float keys
+/// (some equal across kinds), NaN, unk and dne keys, duplicate
+/// occurrences, now and then a string key that mixes the key families —
+/// and the ordered index "ranged_k" on k. The plan selects with θ = a lower
+/// (> or >=) and an upper (< or <=) bound on k, each in either operand
+/// order, in either conjunct order, now and then with a third conjunct on
+/// v, and now and then a target v composed over the COMP. Bounds draw from
+/// ints, floats, NaN, unk, dne and a string (cross-family); lo may exceed
+/// hi, and lo == hi comes with strict and non-strict ops.
+/// Draw it from IndependentRng: the sweeps add it after their other plans.
+Result<ExprPtr> RandomRangeProbePlan(Rng* rng, const GenOptions& opts,
+                                     Database* db);
 
 /// Mutates EXCESS source text for the parser fuzz oracle: 1-3 random edits
 /// (truncate, delete, insert, duplicate a span, swap a char) drawn from a

@@ -1,7 +1,9 @@
 #include "check/oracle.h"
 
+#include <cmath>
 #include <utility>
 
+#include "core/builder.h"
 #include "core/eval.h"
 #include "core/physical.h"
 #include "core/planner.h"
@@ -58,6 +60,57 @@ bool MightHaveEmptyCrossInput(Evaluator* ev, const ExprPtr& e) {
   }
   if (e->sub() && MightHaveEmptyCrossInput(ev, e->sub())) return true;
   return false;
+}
+
+/// Two-bound IDX_PROBEs must walk tight intervals: each examines exactly
+/// the occurrences of its set whose two bound atoms are not false — the
+/// interval, the NaN keys that Compare equal to inclusive bounds, and the
+/// unk partition — which is what a selection on those two atoms keeps.
+/// Checked for probes with constant bounds, served from a usable index and
+/// run once, unless the key order cannot place a bound (NaN, or bounds of
+/// two families: the probe scans) or the reference selection fails (a
+/// cross-family comparison). Returns what went wrong with the first loose
+/// probe in `e`, or "".
+std::string LooseIntervalProbe(Database& db, const Expr& e,
+                               const PlanProfile& profile) {
+  for (const auto& c : e.children()) {
+    std::string loose = LooseIntervalProbe(db, *c, profile);
+    if (!loose.empty()) return loose;
+  }
+  if (e.sub() != nullptr) {
+    std::string loose = LooseIntervalProbe(db, *e.sub(), profile);
+    if (!loose.empty()) return loose;
+  }
+  if (e.kind() != OpKind::kIndexProbe || e.num_children() != 2) return "";
+  const SecondaryIndex* idx = db.FindIndex(e.name());
+  const NodeProfile* np = profile.Find(&e);
+  if (idx == nullptr || !idx->Usable() || np == nullptr ||
+      np->invocations != 1) {
+    return "";
+  }
+  int family = -1;
+  for (const auto& bound : e.children()) {
+    const ValuePtr& v = bound->literal();
+    if (v == nullptr) return "";
+    if (v->is_null()) continue;
+    int f = SecondaryIndex::KeyFamily(*v);
+    if (f == 0 || (family >= 0 && f != family) ||
+        (f == 1 && std::isnan(v->NumericValue()))) {
+      return "";
+    }
+    family = f;
+  }
+  ExprPtr key = alg::Path(idx->def().path, alg::Input());
+  PredicatePtr bounds = Predicate::And(
+      Predicate::Atom(key, static_cast<CmpOp>(e.index()), e.child(0)),
+      Predicate::Atom(key, static_cast<CmpOp>(e.hi()), e.child(1)));
+  Evaluator ev(&db);
+  auto kept = ev.Eval(alg::Select(bounds, alg::Var(idx->def().set_name)));
+  if (!kept.ok()) return "";
+  if (np->occurrences_in == (*kept)->TotalCount()) return "";
+  return StrCat(e.name(), " examined ", np->occurrences_in,
+                " occurrences, but ", (*kept)->TotalCount(),
+                " satisfy its bounds (", bounds->ToString(), ")");
 }
 
 }  // namespace
@@ -242,14 +295,21 @@ Status CheckLoweringSeed(uint64_t seed, const GenOptions& opts,
   Database db;
   GenDb gen;
   EXA_RETURN_NOT_OK(BuildRandomDatabase(&rng, opts, &db, &gen));
-  for (int p = 0; p <= kPlansPerSeed; ++p) {
+  for (int p = 0; p <= kPlansPerSeed + 1; ++p) {
     // Every third plan has the guaranteed equi-join shape the hash-join
     // lowering targets; the rest exercise the planner on arbitrary shapes.
-    // One extra plan, drawn last, is a join as the EXCESS translator emits
-    // it, which leg (a') decorrelates before lowering.
-    ExprPtr plan = p == kPlansPerSeed ? RandomTranslatedJoinPlan(&rng, opts, gen)
-                   : (p % 3 == 0)     ? RandomJoinPlan(&rng, opts, gen)
-                                      : RandomPlan(&rng, opts, gen);
+    // Two extra plans come last: a join as the EXCESS translator emits it,
+    // which leg (a') decorrelates before lowering, and a two-bound range
+    // over an ordered index the generator creates.
+    ExprPtr plan;
+    if (p == kPlansPerSeed + 1) {
+      Rng range_rng = IndependentRng(seed ^ kLoweringSalt);
+      EXA_ASSIGN_OR_RETURN(plan, RandomRangeProbePlan(&range_rng, opts, &db));
+    } else {
+      plan = p == kPlansPerSeed ? RandomTranslatedJoinPlan(&rng, opts, gen)
+             : (p % 3 == 0)     ? RandomJoinPlan(&rng, opts, gen)
+                                : RandomPlan(&rng, opts, gen);
+    }
     ++stats->plans;
     Evaluator serial(&db);
     serial.set_parallel_enabled(false);
@@ -261,8 +321,11 @@ Status CheckLoweringSeed(uint64_t seed, const GenOptions& opts,
 
     // (a) Direct physical lowering: 3VL-exact. The evaluation runs under a
     // PlanProfile so the EXPLAIN ANALYZE invariant is fuzzed alongside: the
-    // profile's root actuals must agree with the evaluated answer.
-    ExprPtr lowered = LowerPhysical(plan);
+    // profile's root actuals must agree with the evaluated answer, and a
+    // two-bound probe's in= must be its interval. The database holds no
+    // index before the range plan, so the lowering is index-blind until
+    // then.
+    ExprPtr lowered = LowerPhysical(plan, &db, CostParams());
     {
       ++stats->comparisons;
       Evaluator ev(&db);
@@ -292,6 +355,11 @@ Status CheckLoweringSeed(uint64_t seed, const GenOptions& opts,
                      std::to_string(root ? root->out_occurrences : -1),
                      " calls=", std::to_string(root ? root->invocations : -1),
                      ", result occurrences=", std::to_string(expect))));
+        }
+        std::string loose = LooseIntervalProbe(db, *lowered, profile);
+        if (!loose.empty()) {
+          out->push_back(MakeDivergence("lowering", "explain-profile", seed,
+                                        plan, lowered, std::move(loose)));
         }
       }
     }
@@ -415,7 +483,7 @@ Status CheckIndexSeed(uint64_t seed, const GenOptions& opts,
   create_one();
 
   CostParams params;
-  for (int p = 0; p <= kPlansPerSeed * 2; ++p) {
+  for (int p = 0; p <= kPlansPerSeed * 2 + 1; ++p) {
     // Mid-trace churn: index DDL plus base-set mutations, so probes run
     // against incrementally maintained and freshly rebuilt indexes alike.
     switch (rng.Int(0, 4)) {
@@ -440,11 +508,17 @@ Status CheckIndexSeed(uint64_t seed, const GenOptions& opts,
         break;  // no churn this round
     }
 
-    // The last plan is a join as the EXCESS translator emits it.
-    ExprPtr plan = p == kPlansPerSeed * 2
-                       ? RandomTranslatedJoinPlan(&rng, opts, gen)
-                   : (p % 2 == 0) ? RandomJoinPlan(&rng, opts, gen)
-                                  : RandomPlan(&rng, opts, gen);
+    // The last two plans are a join as the EXCESS translator emits it and
+    // a two-bound range over a fresh ordered index.
+    ExprPtr plan;
+    if (p == kPlansPerSeed * 2 + 1) {
+      Rng range_rng = IndependentRng(seed ^ kIndexSalt);
+      EXA_ASSIGN_OR_RETURN(plan, RandomRangeProbePlan(&range_rng, opts, &db));
+    } else {
+      plan = p == kPlansPerSeed * 2 ? RandomTranslatedJoinPlan(&rng, opts, gen)
+             : (p % 2 == 0)         ? RandomJoinPlan(&rng, opts, gen)
+                                    : RandomPlan(&rng, opts, gen);
+    }
     ++stats->plans;
     Evaluator serial(&db);
     serial.set_parallel_enabled(false);
@@ -471,6 +545,8 @@ Status CheckIndexSeed(uint64_t seed, const GenOptions& opts,
     for (const Leg& leg : legs) {
       ++stats->comparisons;
       Evaluator ev(&db);
+      PlanProfile profile;
+      ev.set_profile(&profile);
       auto after = ev.Eval(leg.tree);
       if (!after.ok()) {
         out->push_back(MakeDivergence(
@@ -481,6 +557,12 @@ Status CheckIndexSeed(uint64_t seed, const GenOptions& opts,
             "index", leg.name, seed, plan, leg.tree,
             StrCat("logical: ", (*before)->ToString(),
                    "\nlowered: ", (*after)->ToString())));
+      } else {
+        std::string loose = LooseIntervalProbe(db, *leg.tree, profile);
+        if (!loose.empty()) {
+          out->push_back(MakeDivergence("index", leg.name, seed, plan,
+                                        leg.tree, std::move(loose)));
+        }
       }
     }
   }

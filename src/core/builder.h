@@ -213,13 +213,23 @@ inline ExprPtr HashJoin(PredicatePtr theta, ExprPtr a, ExprPtr b, ExprPtr lkey,
 /// SET_APPLY_{COMP_θ(opnd)}(Var(set_name)) when one conjunct of θ compares
 /// the index's key path of the element against the (closed) probe
 /// expression with `cmp`. `opnd` is the COMP operand binder (INPUT = set
-/// element). Built by the physical lowering pass.
+/// element). With a second probe `hi`, this is the two-bound
+/// IDX_PROBE(probe, hi): `probe` is the lower bound (`cmp` > or >=) and
+/// `hi` the upper bound (`hi_cmp` < or <=) of two conjuncts on the same
+/// key. Built by the physical lowering pass.
 inline ExprPtr IndexProbe(std::string index_name, std::string set_name,
                           CmpOp cmp, ExprPtr probe, ExprPtr opnd,
-                          PredicatePtr theta) {
-  return Make(OpKind::kIndexProbe, {std::move(probe)}, std::move(opnd),
+                          PredicatePtr theta, CmpOp hi_cmp = CmpOp::kEq,
+                          ExprPtr hi = nullptr) {
+  std::vector<ExprPtr> probes = {std::move(probe)};
+  int64_t hi_op = 0;
+  if (hi != nullptr) {
+    probes.push_back(std::move(hi));
+    hi_op = static_cast<int64_t>(hi_cmp);
+  }
+  return Make(OpKind::kIndexProbe, std::move(probes), std::move(opnd),
               std::move(theta), nullptr, std::move(index_name),
-              {std::move(set_name)}, "", static_cast<int64_t>(cmp));
+              {std::move(set_name)}, "", static_cast<int64_t>(cmp), 0, hi_op);
 }
 
 /// IDX_JOIN<index>(A, B, kA, kB)[opnd][θ]: HASH_JOIN whose `indexed_side`

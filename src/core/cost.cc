@@ -1,6 +1,7 @@
 #include "core/cost.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace excess {
 
@@ -32,6 +33,30 @@ bool IsCollectionOp(OpKind k) {
     default:
       return false;
   }
+}
+
+/// Share of ordered index `idx` a two-bound IDX_PROBE `e` walks,
+/// interpolated over the first and last keys when both bounds are numeric
+/// constants; `fallback` otherwise.
+double IntervalShare(const SecondaryIndex& idx, const Expr& e,
+                     double fallback) {
+  const auto& buckets = idx.ordered_buckets();
+  if (buckets.empty()) return fallback;
+  auto numeric = [](const ValuePtr& v) {
+    return v != nullptr && v->IsNumeric() && !std::isnan(v->NumericValue());
+  };
+  const ValuePtr& lo = e.child(0)->literal();
+  const ValuePtr& hi = e.child(1)->literal();
+  const ValuePtr& first = buckets.begin()->first;
+  const ValuePtr& last = buckets.rbegin()->first;
+  if (!numeric(lo) || !numeric(hi) || !numeric(first) || !numeric(last)) {
+    return fallback;
+  }
+  double span = last->NumericValue() - first->NumericValue();
+  if (span <= 0) return fallback;
+  double covered = std::min(hi->NumericValue(), last->NumericValue()) -
+                   std::max(lo->NumericValue(), first->NumericValue());
+  return std::clamp(covered / span, 0.0, 1.0);
 }
 
 }  // namespace
@@ -237,7 +262,11 @@ Result<CostEstimate> CostModel::EstimateNode(const Expr& e,
                                        b.cardinality + matches * (pred + 1)};
     }
     case OpKind::kIndexProbe: {
-      EXA_ASSIGN_OR_RETURN(CostEstimate probe, child(0));
+      double probes = 0;
+      for (size_t i = 0; i < e.num_children(); ++i) {
+        EXA_ASSIGN_OR_RETURN(CostEstimate probe, child(i));
+        probes += probe.total;
+      }
       EXA_ASSIGN_OR_RETURN(CostEstimate per,
                            EstimateNode(*e.sub(), /*input_card=*/1));
       double pred = PredicateCost(*e.pred(), /*input_card=*/1);
@@ -251,20 +280,29 @@ Result<CostEstimate> CostModel::EstimateNode(const Expr& e,
       }
       const SecondaryIndex* idx = db_->FindIndex(e.name());
       double candidates = base_card;  // fallback is an exact scan
-      if (idx != nullptr && idx->Usable()) {
-        double buckets = std::max<double>(1, idx->distinct_keys());
-        double avg_bucket =
-            static_cast<double>(idx->keyed_total()) / buckets +
-            static_cast<double>(idx->unk_entries().size());
-        CmpOp cmp = static_cast<CmpOp>(e.index());
-        candidates = cmp == CmpOp::kEq || cmp == CmpOp::kIn
-                         ? avg_bucket
-                         : base_card * params_.selectivity;  // range share
-        candidates = std::max(1.0, candidates);
-      }
       double out_card = std::max(1.0, base_card * params_.selectivity);
+      if (idx != nullptr && idx->Usable()) {
+        CmpOp cmp = static_cast<CmpOp>(e.index());
+        if (cmp == CmpOp::kEq || cmp == CmpOp::kIn) {
+          // One bucket holds the matches and the unk partition rides along.
+          double buckets = std::max<double>(1, idx->distinct_keys());
+          candidates = static_cast<double>(idx->keyed_total()) / buckets +
+                       static_cast<double>(idx->unk_entries().size());
+        } else if (e.num_children() == 1) {
+          candidates = base_card * params_.selectivity;  // range share
+        } else {
+          // Two range atoms: the selectivity squared, unless the interval
+          // can be placed on the keys. Never more than either one-bound
+          // walk it narrows.
+          const double sel = params_.selectivity;
+          candidates =
+              base_card * std::min(sel, IntervalShare(*idx, e, sel * sel));
+        }
+        candidates = std::max(1.0, candidates);
+        out_card = candidates;
+      }
       return CostEstimate{out_card,
-                          probe.total + 1 + candidates * (per.total + pred + 1)};
+                          probes + 1 + candidates * (per.total + pred + 1)};
     }
     case OpKind::kIndexJoin: {
       EXA_ASSIGN_OR_RETURN(CostEstimate a, child(0));

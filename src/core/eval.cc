@@ -859,19 +859,24 @@ Result<ValuePtr> Evaluator::EvalIndexProbe(const Expr& e, const Ctx& ctx) {
     return Value::EmptySet();
   }
 
-  auto probe_r = EvalNode(*e.child(0), ctx);
-  if (!probe_r.ok()) {
-    // θ may short-circuit before its indexed atom on every element (∧ stops
-    // at the first false conjunct), in which case the logical plan never
-    // evaluates the probe expression at all — so a failing probe must not
-    // fail the operator outright. The scan reproduces the logical error
-    // behavior exactly; a governor trip re-trips on its first checkpoint.
-    m_fallbacks->Increment();
-    EXA_ASSIGN_OR_RETURN(ValuePtr base, db_->NamedValue(set_name));
-    return ProbeScanFallback(e, base, ctx);
+  // A two-bound probe has a second child, the interval's upper end.
+  ValuePtr probes[2];
+  for (size_t i = 0; i < e.num_children(); ++i) {
+    auto probe_r = EvalNode(*e.child(i), ctx);
+    if (!probe_r.ok()) {
+      // θ may short-circuit before its indexed atom on every element (∧
+      // stops at the first false conjunct), in which case the logical plan
+      // never evaluates the probe expression at all — so a failing probe
+      // must not fail the operator outright. The scan reproduces the
+      // logical error behavior exactly; a governor trip re-trips on its
+      // first checkpoint.
+      m_fallbacks->Increment();
+      EXA_ASSIGN_OR_RETURN(ValuePtr base, db_->NamedValue(set_name));
+      return ProbeScanFallback(e, base, ctx);
+    }
+    probes[i] = std::move(*probe_r);
   }
-  ValuePtr probe = std::move(*probe_r);
-  Count(e, idx->entry_total());
+  const ValuePtr& probe = probes[0];
 
   std::vector<SetEntry> out;
   GovernorBatch batch(governor_);
@@ -879,7 +884,7 @@ Result<ValuePtr> Evaluator::EvalIndexProbe(const Expr& e, const Ctx& ctx) {
   // Skipping a non-matching bucket is exact because its indexed atom is
   // false, which makes the conjunction θ false and COMP yield dne.
   auto emit = [&](const SetEntry& entry) -> Status {
-    ++candidates;
+    candidates += entry.count;
     EXA_RETURN_NOT_OK(batch.Tick());
     return EmitComp(e, entry.value, entry.count, ctx, &out);
   };
@@ -903,7 +908,39 @@ Result<ValuePtr> Evaluator::EvalIndexProbe(const Expr& e, const Ctx& ctx) {
   };
 
   CmpOp cmp = static_cast<CmpOp>(e.index());
-  if (probe->is_unk()) {
+  if (cmp == CmpOp::kLt || cmp == CmpOp::kLe || cmp == CmpOp::kGt ||
+      cmp == CmpOp::kGe) {
+    // One interval from every bound. A dne bound makes its atom false
+    // against any non-null key and unk against an unk key: only the unk
+    // partition survives. An unk bound opens its end: outside the other,
+    // known end that atom is false, so θ is too.
+    SecondaryIndex::RangeEnd lo, hi;
+    bool dne = false;
+    for (size_t i = 0; i < e.num_children(); ++i) {
+      const ValuePtr& bound = probes[i];
+      CmpOp op = static_cast<CmpOp>(i == 0 ? e.index() : e.hi());
+      if (bound->is_dne()) dne = true;
+      if (bound->is_null()) continue;
+      SecondaryIndex::RangeEnd& end =
+          op == CmpOp::kGt || op == CmpOp::kGe ? lo : hi;
+      end = {bound, op == CmpOp::kGe || op == CmpOp::kLe};
+    }
+    std::vector<const SecondaryIndex::Bucket*> range;
+    if (dne) {
+      EXA_RETURN_NOT_OK(emit_all(idx->unk_entries()));
+    } else if (!idx->OrderedRange(lo, hi, &range)) {
+      // Every bound unk (each atom is unk against every key, and θ can
+      // still come out false through another conjunct), mixed key
+      // families or a NaN bound: nothing can be skipped.
+      EXA_RETURN_NOT_OK(full_scan());
+    } else {
+      for (const SecondaryIndex::Bucket* b : range) {
+        m_bucket->Observe(static_cast<int64_t>(b->entries.size()));
+        EXA_RETURN_NOT_OK(emit_all(b->entries));
+      }
+      EXA_RETURN_NOT_OK(emit_all(idx->unk_entries()));
+    }
+  } else if (probe->is_unk()) {
     // The indexed atom is unk against every key; θ can still come out false
     // through another conjunct, so every element must be examined.
     EXA_RETURN_NOT_OK(full_scan());
@@ -911,63 +948,33 @@ Result<ValuePtr> Evaluator::EvalIndexProbe(const Expr& e, const Ctx& ctx) {
     // The atom is false against any non-null key (dne matches nothing) and
     // unk against an unk key: only the unk partition can survive.
     EXA_RETURN_NOT_OK(emit_all(idx->unk_entries()));
-  } else {
-    switch (cmp) {
-      case CmpOp::kEq: {
-        const SecondaryIndex::Bucket* b = idx->EqBucket(probe);
-        if (b != nullptr) {
-          m_bucket->Observe(static_cast<int64_t>(b->entries.size()));
-          EXA_RETURN_NOT_OK(emit_all(b->entries));
-        }
-        EXA_RETURN_NOT_OK(emit_all(idx->unk_entries()));
-        break;
-      }
-      case CmpOp::kIn: {
-        if (!probe->is_set()) {
-          // 'in' against a non-set raises a per-element type error; the
-          // scan reproduces it on the first candidate.
-          EXA_RETURN_NOT_OK(full_scan());
-          break;
-        }
-        // Distinct probe members can land in one ordered bucket (ordered
-        // equivalence groups cross-kind numerics); visit each bucket once.
-        std::unordered_set<const SecondaryIndex::Bucket*> seen;
-        for (const auto& member : probe->entries()) {
-          if (member.value->is_unk() || member.value->is_dne()) continue;
-          const SecondaryIndex::Bucket* b = idx->EqBucket(member.value);
-          if (b == nullptr || !seen.insert(b).second) continue;
-          m_bucket->Observe(static_cast<int64_t>(b->entries.size()));
-          EXA_RETURN_NOT_OK(emit_all(b->entries));
-        }
-        EXA_RETURN_NOT_OK(emit_all(idx->unk_entries()));
-        break;
-      }
-      case CmpOp::kLt:
-      case CmpOp::kLe:
-      case CmpOp::kGt:
-      case CmpOp::kGe: {
-        bool less = cmp == CmpOp::kLt || cmp == CmpOp::kLe;
-        bool inclusive = cmp == CmpOp::kLe || cmp == CmpOp::kGe;
-        std::vector<const SecondaryIndex::Bucket*> range;
-        if (!idx->OrderedRange(probe, less, inclusive, &range)) {
-          // Mixed key families or a NaN probe: ordering against the probe
-          // is not total, so nothing can be skipped.
-          EXA_RETURN_NOT_OK(full_scan());
-          break;
-        }
-        for (const SecondaryIndex::Bucket* b : range) {
-          m_bucket->Observe(static_cast<int64_t>(b->entries.size()));
-          EXA_RETURN_NOT_OK(emit_all(b->entries));
-        }
-        EXA_RETURN_NOT_OK(emit_all(idx->unk_entries()));
-        break;
-      }
-      case CmpOp::kNe:
-        // Never lowered to a probe; defensively examine everything.
-        EXA_RETURN_NOT_OK(full_scan());
-        break;
+  } else if (cmp == CmpOp::kEq) {
+    const SecondaryIndex::Bucket* b = idx->EqBucket(probe);
+    if (b != nullptr) {
+      m_bucket->Observe(static_cast<int64_t>(b->entries.size()));
+      EXA_RETURN_NOT_OK(emit_all(b->entries));
     }
+    EXA_RETURN_NOT_OK(emit_all(idx->unk_entries()));
+  } else if (cmp == CmpOp::kIn && probe->is_set()) {
+    // Distinct probe members can land in one ordered bucket (ordered
+    // equivalence groups cross-kind numerics); visit each bucket once.
+    std::unordered_set<const SecondaryIndex::Bucket*> seen;
+    for (const auto& member : probe->entries()) {
+      if (member.value->is_unk() || member.value->is_dne()) continue;
+      const SecondaryIndex::Bucket* b = idx->EqBucket(member.value);
+      if (b == nullptr || !seen.insert(b).second) continue;
+      m_bucket->Observe(static_cast<int64_t>(b->entries.size()));
+      EXA_RETURN_NOT_OK(emit_all(b->entries));
+    }
+    EXA_RETURN_NOT_OK(emit_all(idx->unk_entries()));
+  } else {
+    // 'in' against a non-set raises a per-element type error, which the
+    // scan reproduces on the first candidate; != is never lowered to a
+    // probe, so examine everything.
+    EXA_RETURN_NOT_OK(full_scan());
   }
+  // EXPLAIN ANALYZE's in= is the candidates examined, not the indexed set.
+  Count(e, candidates);
   EXA_RETURN_NOT_OK(batch.Flush());
   m_candidates->Increment(candidates);
   return Value::SetOfCounted(std::move(out));

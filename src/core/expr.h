@@ -88,8 +88,11 @@ enum class OpKind {
   // probe expression; sub() is the COMP operand binder (INPUT bound to an
   // element of S); pred() is the full θ, re-evaluated on every candidate
   // the index returns. name() is the index name, names() = {S}, index()
-  // carries the CmpOp of the matched atom. Falls back to an exact scan of
-  // S when the index is missing or unusable.
+  // carries the CmpOp of the matched atom. IDX_PROBE(lo, hi) serves two
+  // conjuncts bounding the key from both sides: child 0 is the lower bound
+  // (index() is > or >=), child 1 the upper bound, whose CmpOp (< or <=)
+  // hi() carries. Falls back to an exact scan of S when the index is
+  // missing or unusable.
   kIndexProbe,
 
   // IDX_JOIN(A, B, kA, kB)[opnd][θ] has the same shape and answer as HASH_JOIN

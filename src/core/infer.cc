@@ -229,9 +229,11 @@ Result<SchemaPtr> TypeInference::InferNode(const Expr& e, const SchemaPtr& input
       return Schema::Set(std::move(out));
     }
     case OpKind::kIndexProbe: {
-      // Probe expression is closed relative to the set element; it still
-      // type-checks in the enclosing scope.
-      EXA_RETURN_NOT_OK(InferNode(*e.child(0), input).status());
+      // Probe expressions are closed relative to the set element; they
+      // still type-check in the enclosing scope.
+      for (const auto& probe : e.children()) {
+        EXA_RETURN_NOT_OK(InferNode(*probe, input).status());
+      }
       if (db_ == nullptr) {
         return Status::TypeError("IDX_PROBE requires a database");
       }

@@ -392,11 +392,13 @@ ExprPtr TryIndexProbe(const ExprPtr& e, const LowerCtx& lctx) {
   if (!ExtractionPath(path_base, &opnd_path)) return nullptr;
   const bool opnd_derefs_last = EndsInDeref(path_base);
 
-  auto base_est = lctx.cost->Estimate(e);
-  if (!base_est.ok()) return nullptr;
-  double best_total = base_est->total;
-  ExprPtr best;
-
+  // Every (index, comparison, probe) an atom of θ's ∧-spine can serve.
+  struct Served {
+    const SecondaryIndex* idx;
+    CmpOp cmp;
+    ExprPtr probe;
+  };
+  std::vector<Served> served;
   std::vector<PredicatePtr> conj;
   Conjuncts(sub->pred(), &conj);
   for (const auto& c : conj) {
@@ -446,20 +448,43 @@ ExprPtr TryIndexProbe(const ExprPtr& e, const LowerCtx& lctx) {
       if (!HoistableProbe(f.probe)) continue;
       std::vector<std::string> full = opnd_path;
       full.insert(full.end(), atom_path.begin(), atom_path.end());
-      const bool range_cmp = f.cmp == CmpOp::kLt || f.cmp == CmpOp::kLe ||
-                             f.cmp == CmpOp::kGt || f.cmp == CmpOp::kGe;
+      const bool range_cmp = f.cmp != CmpOp::kEq && f.cmp != CmpOp::kIn;
       for (const SecondaryIndex* idx : indexes) {
         if (idx->def().path != full) continue;
         if (range_cmp && idx->def().kind != IndexKind::kOrdered) continue;
-        ExprPtr cand =
-            Rewrap(*split, alg::IndexProbe(idx->def().name, set_name, f.cmp,
-                                           f.probe, opnd, sub->pred()));
-        auto est = lctx.cost->Estimate(cand);
-        if (!est.ok() || est->total >= best_total) continue;
-        best_total = est->total;
-        best = std::move(cand);
+        served.push_back({idx, f.cmp, f.probe});
       }
     }
+  }
+
+  if (served.empty()) return nullptr;
+
+  auto base_est = lctx.cost->Estimate(e);
+  if (!base_est.ok()) return nullptr;
+  double best_total = base_est->total;
+  ExprPtr best;
+  auto consider = [&](ExprPtr probe) {
+    ExprPtr cand = Rewrap(*split, std::move(probe));
+    auto est = lctx.cost->Estimate(cand);
+    if (!est.ok() || est->total >= best_total) return;
+    best_total = est->total;
+    best = std::move(cand);
+  };
+  // A lower and an upper bound on one ordered index walk only the interval
+  // between them. Those pairs go first, so they win ties.
+  for (const Served& lo : served) {
+    if (lo.cmp != CmpOp::kGt && lo.cmp != CmpOp::kGe) continue;
+    for (const Served& hi : served) {
+      if (hi.idx != lo.idx || (hi.cmp != CmpOp::kLt && hi.cmp != CmpOp::kLe)) {
+        continue;
+      }
+      consider(alg::IndexProbe(lo.idx->def().name, set_name, lo.cmp, lo.probe,
+                               opnd, sub->pred(), hi.cmp, hi.probe));
+    }
+  }
+  for (const Served& s : served) {
+    consider(alg::IndexProbe(s.idx->def().name, set_name, s.cmp, s.probe, opnd,
+                             sub->pred()));
   }
   return best;
 }

@@ -52,7 +52,10 @@ ExprPtr LowerPhysical(const ExprPtr& plan);
 ///    over INPUT against a closed, side-effect-free probe, and an index on
 ///    S covers the operand+atom path (hash for =/in, ordered for
 ///    </<=/>/>=) — becomes IDX_PROBE(probe)[opnd][θ], re-wrapped in
-///    SET_APPLY[χ] when χ is present.
+///    SET_APPLY[χ] when χ is present. Two atoms bounding one ordered
+///    index's key from below (>, >=) and above (<, <=), in either operand
+///    order, become the two-bound IDX_PROBE(lo, hi), which walks only the
+///    interval between them.
 ///  - lower-index-join: a freshly lowered HASH_JOIN whose one side is
 ///    Var(S) (or a pure extraction-path SET_APPLY over Var(S)) with a key
 ///    binder matching an index on S — becomes IDX_JOIN, which never scans

@@ -161,36 +161,45 @@ const SecondaryIndex::Bucket* SecondaryIndex::EqBucket(
   return it == hash_.end() ? nullptr : &it->second;
 }
 
-bool SecondaryIndex::OrderedRange(const ValuePtr& probe, bool less,
-                                  bool inclusive,
+bool SecondaryIndex::OrderedRange(const RangeEnd& lo, const RangeEnd& hi,
                                   std::vector<const Bucket*>* out) const {
   if (def_.kind != IndexKind::kOrdered) return false;
-  int family = KeyFamily(*probe);
-  if (family == 0) return false;
-  // Value::Compare treats NaN as equal to every numeric; serving a NaN
-  // probe from the sorted order would disagree, so scan instead.
-  if (family == 1 && std::isnan(probe->NumericValue())) return false;
+  int family = -1;
+  for (const RangeEnd* end : {&lo, &hi}) {
+    if (end->key == nullptr) continue;
+    int f = KeyFamily(*end->key);
+    if (f == 0 || (family >= 0 && f != family)) return false;
+    // Value::Compare treats NaN as equal to every numeric; serving a NaN
+    // bound from the sorted order would disagree, so scan instead.
+    if (f == 1 && std::isnan(end->key->NumericValue())) return false;
+    family = f;
+  }
+  if (family < 0) return false;  // nothing bounds the walk
   for (int f = 0; f < kNumKeyFamilies; ++f) {
     if (f != family && family_buckets_[f] > 0) return false;
   }
-  if (less) {
-    auto end = inclusive ? ordered_.upper_bound(probe)
-                         : ordered_.lower_bound(probe);
-    for (auto it = ordered_.begin(); it != end; ++it)
-      out->push_back(&it->second);
-    // NaN keys rank after every numeric in bucket order but Compare calls
-    // them equal to anything, so `key <= probe` holds for them; include the
-    // NaN tail as candidates and let the re-evaluated predicate decide.
-    for (auto it = ordered_.rbegin(); it != ordered_.rend(); ++it) {
-      if (!(it->first->IsNumeric() && std::isnan(it->first->NumericValue())))
-        break;
+  static const ValuePtr kNaN = Value::Float(std::nan(""));
+  auto nan = family == 1 ? ordered_.lower_bound(kNaN) : ordered_.end();
+  auto first = lo.key == nullptr ? ordered_.begin()
+               : lo.inclusive    ? ordered_.lower_bound(lo.key)
+                                 : ordered_.upper_bound(lo.key);
+  auto last = hi.key == nullptr ? nan
+              : hi.inclusive    ? ordered_.upper_bound(hi.key)
+                                : ordered_.lower_bound(hi.key);
+  // The iterators of an empty interval may cross; never walk them.
+  const OrderedKeyLess less;
+  const bool empty =
+      lo.key != nullptr && hi.key != nullptr &&
+      (less(hi.key, lo.key) ||
+       (!less(lo.key, hi.key) && !(lo.inclusive && hi.inclusive)));
+  if (!empty) {
+    for (auto it = first; it != last; ++it) out->push_back(&it->second);
+  }
+  if ((lo.key == nullptr || lo.inclusive) &&
+      (hi.key == nullptr || hi.inclusive)) {
+    for (auto it = nan; it != ordered_.end(); ++it) {
       out->push_back(&it->second);
     }
-  } else {
-    auto begin = inclusive ? ordered_.lower_bound(probe)
-                           : ordered_.upper_bound(probe);
-    for (auto it = begin; it != ordered_.end(); ++it)
-      out->push_back(&it->second);
   }
   return true;
 }

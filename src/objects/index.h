@@ -117,14 +117,26 @@ class SecondaryIndex {
   /// Equality probe: the bucket whose key groups with `key`, or nullptr.
   const Bucket* EqBucket(const ValuePtr& key) const;
 
-  /// Range probe (ordered indexes only): appends to `out` the buckets
-  /// whose keys satisfy `key < probe` (less=true) or `key > probe`
-  /// (less=false), optionally inclusive. Returns false — caller must fall
-  /// back to a full predicate scan — when the index is hash-kind, the
-  /// probe's family is non-comparable, or any keyed bucket lives outside
-  /// the probe's family (a scan would raise TypeError on the cross-family
-  /// comparison, and fallback reproduces that exactly).
-  bool OrderedRange(const ValuePtr& probe, bool less, bool inclusive,
+  /// One end of a range probe: `key` bounds the interval, inclusively or
+  /// not; a null key leaves that end open.
+  struct RangeEnd {
+    ValuePtr key;
+    bool inclusive = false;
+  };
+
+  /// Range probe (ordered indexes only): appends to `out`, in key order,
+  /// the buckets whose keys lie in the interval from `lo` to `hi`. NaN keys
+  /// rank last, but Value::Compare calls them equal to every numeric, so
+  /// they satisfy exactly the inclusive ends: their buckets are appended
+  /// whenever every bounded end is inclusive, whatever the interval. An
+  /// empty interval (lo above hi, or lo == hi with a strict end) walks no
+  /// other bucket. Returns false — caller must fall back to a full
+  /// predicate scan — when the index is hash-kind, both ends are open, an
+  /// end is NaN or non-comparable, the ends are of different families, or
+  /// any keyed bucket lives outside the ends' family (a scan would raise
+  /// TypeError on the cross-family comparison, and fallback reproduces that
+  /// exactly).
+  bool OrderedRange(const RangeEnd& lo, const RangeEnd& hi,
                     std::vector<const Bucket*>* out) const;
 
   const HashBuckets& hash_buckets() const { return hash_; }

@@ -148,10 +148,11 @@ ExplainNode Annotate(const CostModel& cost, const ExprPtr& e,
   const bool probe = e->kind() == OpKind::kIndexProbe;
   for (size_t i = 0; i < e->num_children(); ++i) {
     // HASH_JOIN / IDX_JOIN children 2/3 are per-element key binders, not
-    // data inputs; IDX_PROBE's only child is the closed probe expression.
+    // data inputs; IDX_PROBE's children are closed probe expressions (the
+    // interval's two ends for a two-bound probe).
     std::string child_role;
     if (join && i >= 2) child_role = "key";
-    if (probe && i == 0) child_role = "probe";
+    if (probe) child_role = "probe";
     n.children.push_back(Annotate(cost, e->child(i), profile, child_role));
   }
   if (e->sub() != nullptr) {

@@ -1,6 +1,7 @@
 #include "storage/serialize.h"
 
 #include <cstring>
+#include <unordered_map>
 
 #include "util/string_util.h"
 
@@ -239,6 +240,82 @@ Result<ValuePtr> DecodeValueAt(Reader* r, int depth) {
   return Status::DataLoss(StrCat("unknown value kind tag ", static_cast<int>(tag)));
 }
 
+/// True when `a` and `b` encode to the same bytes: equal kinds, field
+/// names and order, type tags, entry order and counts, and float bits.
+/// Value::Equals is coarser (it ignores all of these but the kinds).
+bool SameEncoding(const Value& a, const Value& b) {
+  if (&a == &b) return true;
+  if (a.kind() != b.kind()) return false;
+  switch (a.kind()) {
+    case ValueKind::kInt:
+    case ValueKind::kDate:
+      return a.as_int() == b.as_int();
+    case ValueKind::kFloat: {
+      double x = a.as_float(), y = b.as_float();
+      return std::memcmp(&x, &y, sizeof(x)) == 0;
+    }
+    case ValueKind::kString:
+      return a.as_string() == b.as_string();
+    case ValueKind::kBool:
+      return a.as_bool() == b.as_bool();
+    case ValueKind::kDne:
+    case ValueKind::kUnk:
+      return true;
+    case ValueKind::kRef:
+      return a.oid() == b.oid();
+    case ValueKind::kTuple:
+      if (a.type_tag() != b.type_tag() || a.field_names() != b.field_names()) {
+        return false;
+      }
+      [[fallthrough]];
+    case ValueKind::kArray: {
+      const auto& x = a.is_tuple() ? a.field_values() : a.elems();
+      const auto& y = b.is_tuple() ? b.field_values() : b.elems();
+      if (x.size() != y.size()) return false;
+      for (size_t i = 0; i < x.size(); ++i) {
+        if (!SameEncoding(*x[i], *y[i])) return false;
+      }
+      return true;
+    }
+    case ValueKind::kSet: {
+      const auto& x = a.entries();
+      const auto& y = b.entries();
+      if (x.size() != y.size()) return false;
+      for (size_t i = 0; i < x.size(); ++i) {
+        if (x[i].count != y[i].count ||
+            !SameEncoding(*x[i].value, *y[i].value)) {
+          return false;
+        }
+      }
+      return true;
+    }
+  }
+  return false;
+}
+
+/// `v`, sharing what it has in common with `twin`: `twin` itself when the
+/// two encode alike, else (for two tuples with the same fields and tag) a
+/// copy of `v` whose fields that encode like `twin`'s are `twin`'s.
+ValuePtr ShareWith(const ValuePtr& v, const ValuePtr& twin) {
+  if (!v->is_tuple() || !twin->is_tuple() ||
+      v->type_tag() != twin->type_tag() ||
+      v->field_names() != twin->field_names()) {
+    return SameEncoding(*v, *twin) ? twin : v;
+  }
+  std::vector<ValuePtr> fields = v->field_values();
+  const auto& twins = twin->field_values();
+  bool all = true;
+  for (size_t i = 0; i < fields.size(); ++i) {
+    if (SameEncoding(*fields[i], *twins[i])) {
+      fields[i] = twins[i];
+    } else {
+      all = false;
+    }
+  }
+  if (all) return twin;
+  return Value::Tuple(v->field_names(), std::move(fields), v->type_tag());
+}
+
 }  // namespace
 
 Result<ValuePtr> DecodeValue(Reader* r) { return DecodeValueAt(r, 0); }
@@ -446,6 +523,14 @@ Result<SnapshotState> DecodeSnapshotPayload(const std::string& payload) {
     EXA_ASSIGN_OR_RETURN(obj.value, DecodeValue(&r));
     state.store.objects.push_back(std::move(obj));
   }
+  // An object's intern key is the value it was created with; updates since
+  // replaced some fields and shared the rest, until the snapshot encoded
+  // both in full. Share them again as each key is read, or a restore holds
+  // every object twice.
+  std::unordered_map<Oid, const ValuePtr*, OidHash> object_values;
+  for (const auto& obj : state.store.objects) {
+    object_values.emplace(obj.oid, &obj.value);
+  }
   EXA_ASSIGN_OR_RETURN(uint32_t nintern, r.Count(17));
   state.store.interned.reserve(nintern);
   for (uint32_t i = 0; i < nintern; ++i) {
@@ -454,6 +539,10 @@ Result<SnapshotState> DecodeSnapshotPayload(const std::string& payload) {
     EXA_ASSIGN_OR_RETURN(entry.oid.type_id, r.U32());
     EXA_ASSIGN_OR_RETURN(entry.oid.serial, r.U64());
     EXA_ASSIGN_OR_RETURN(entry.key, DecodeValue(&r));
+    auto twin = object_values.find(entry.oid);
+    if (twin != object_values.end()) {
+      entry.key = ShareWith(entry.key, *twin->second);
+    }
     state.store.interned.push_back(std::move(entry));
   }
 

@@ -115,5 +115,78 @@ TEST_F(CostTest, UnknownNamesStillEstimate) {
   EXPECT_GE(est.cardinality, 1);
 }
 
+// --- IDX_PROBE estimates -----------------------------------------------------
+
+class IndexProbeCostTest : public CostTest {
+ protected:
+  void SetUp() override {
+    CostTest::SetUp();
+    ASSERT_TRUE(db_.CreateIndex({"xh", "S", {"x"}, IndexKind::kHash}).ok());
+    ASSERT_TRUE(
+        db_.CreateIndex({"xo", "S", {"x"}, IndexKind::kOrdered}).ok());
+  }
+  static PredicatePtr X(CmpOp cmp, ExprPtr probe) {
+    return Predicate::Atom(TupExtract("x", Input()), cmp, std::move(probe));
+  }
+  /// IDX_PROBE over `xo` with θ the conjunction of the bounds it serves.
+  static ExprPtr Range(CmpOp lo_op, ExprPtr lo, CmpOp hi_op, ExprPtr hi) {
+    PredicatePtr theta = Predicate::And(X(lo_op, lo), X(hi_op, hi));
+    return IndexProbe("xo", "S", lo_op, lo, Input(), theta, hi_op, hi);
+  }
+  static ExprPtr OneBound(CmpOp op, ExprPtr probe) {
+    return IndexProbe("xo", "S", op, probe, Input(), X(op, probe));
+  }
+};
+
+TEST_F(IndexProbeCostTest, EqualityEstimatesTheAverageBucket) {
+  // 100 distinct keys over 100 elements: one row, not base·selectivity.
+  ExprPtr eq = IndexProbe("xh", "S", CmpOp::kEq, IntLit(7), Input(),
+                          X(CmpOp::kEq, IntLit(7)));
+  EXPECT_DOUBLE_EQ(Est(eq).cardinality, 1.0);
+  ExprPtr in = IndexProbe("xh", "S", CmpOp::kIn, Const(Value::SetOf({I(1)})),
+                          Input(), X(CmpOp::kIn, Const(Value::SetOf({I(1)}))));
+  EXPECT_DOUBLE_EQ(Est(in).cardinality, 1.0);
+}
+
+TEST_F(IndexProbeCostTest, ConstantIntervalsInterpolateOverTheKeys) {
+  // Keys run 0..99: [10, 29] covers 19/99 of the span.
+  ExprPtr narrow = Range(CmpOp::kGe, IntLit(10), CmpOp::kLe, IntLit(29));
+  EXPECT_NEAR(Est(narrow).cardinality, 100.0 * 19 / 99, 1e-9);
+  // An interval outside the keys, or with lo above hi, still reads a row.
+  EXPECT_DOUBLE_EQ(
+      Est(Range(CmpOp::kGe, IntLit(500), CmpOp::kLe, IntLit(600))).cardinality,
+      1.0);
+  EXPECT_DOUBLE_EQ(
+      Est(Range(CmpOp::kGe, IntLit(50), CmpOp::kLe, IntLit(40))).cardinality,
+      1.0);
+  // A wide interval never estimates above the one-bound walks it narrows.
+  ExprPtr wide = Range(CmpOp::kGe, IntLit(-5), CmpOp::kLe, IntLit(500));
+  EXPECT_DOUBLE_EQ(Est(wide).cardinality,
+                   Est(OneBound(CmpOp::kGe, IntLit(-5))).cardinality);
+}
+
+TEST_F(IndexProbeCostTest, OtherIntervalsTakeTheSelectivitySquared) {
+  // A computed bound is not interpolated: two range atoms, sel² of base.
+  ExprPtr computed = Arith("+", IntLit(10), IntLit(0));
+  ExprPtr range = Range(CmpOp::kGt, computed, CmpOp::kLt, IntLit(29));
+  CostParams params;
+  EXPECT_DOUBLE_EQ(Est(range).cardinality,
+                   100 * params.selectivity * params.selectivity);
+}
+
+TEST_F(IndexProbeCostTest, TwoBoundsCostLessThanEitherBound) {
+  // The lowering's candidates for one θ: the interval and each bound.
+  ExprPtr computed = Arith("+", IntLit(10), IntLit(0));
+  for (const ExprPtr& lo : {IntLit(10), computed}) {
+    ExprPtr hi = IntLit(29);
+    ExprPtr both = Range(CmpOp::kGe, lo, CmpOp::kLe, hi);
+    PredicatePtr theta = both->pred();
+    ExprPtr lower = IndexProbe("xo", "S", CmpOp::kGe, lo, Input(), theta);
+    ExprPtr upper = IndexProbe("xo", "S", CmpOp::kLe, hi, Input(), theta);
+    EXPECT_LT(Est(both).total, Est(lower).total) << lo->ToString();
+    EXPECT_LT(Est(both).total, Est(upper).total) << lo->ToString();
+  }
+}
+
 }  // namespace
 }  // namespace excess

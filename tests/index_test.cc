@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -31,6 +32,10 @@ ValuePtr I(int64_t v) { return Value::Int(v); }
 ValuePtr S(std::vector<ValuePtr> v) { return Value::SetOf(v); }
 ValuePtr Elem(ValuePtr k, ValuePtr v) {
   return Value::Tuple({"k", "v"}, {std::move(k), std::move(v)});
+}
+
+PredicatePtr And(PredicatePtr a, PredicatePtr b) {
+  return Predicate::And(std::move(a), std::move(b));
 }
 
 int64_t Fired(const std::string& rule) {
@@ -102,33 +107,94 @@ TEST(SecondaryIndexTest, RebuildOverNonSetDisables) {
   EXPECT_EQ(idx.entry_total(), 1);
 }
 
+using RangeEnd = SecondaryIndex::RangeEnd;
+
+/// The first element of every bucket an interval probe walks, in order.
+std::vector<ValuePtr> Walk(const SecondaryIndex& idx, RangeEnd lo,
+                           RangeEnd hi) {
+  std::vector<const SecondaryIndex::Bucket*> out;
+  EXPECT_TRUE(idx.OrderedRange(lo, hi, &out));
+  std::vector<ValuePtr> firsts;
+  for (const auto* b : out) firsts.push_back(b->entries[0].value);
+  return firsts;
+}
+
+std::string Show(const std::vector<ValuePtr>& vs) {
+  std::string out;
+  for (const auto& v : vs) out += v->ToString() + " ";
+  return out;
+}
+
 TEST(SecondaryIndexTest, OrderedRangeServesOneFamilyOnly) {
   Database db;
   SecondaryIndex idx({"i", "N", {}, IndexKind::kOrdered}, &db.store());
   idx.Rebuild(S({I(1), I(3), I(5)}));
-  std::vector<const SecondaryIndex::Bucket*> out;
-  ASSERT_TRUE(idx.OrderedRange(I(3), /*less=*/true, /*inclusive=*/false,
-                               &out));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_TRUE(out[0]->entries[0].value->Equals(*I(1)));
-  out.clear();
-  ASSERT_TRUE(idx.OrderedRange(I(3), /*less=*/true, /*inclusive=*/true,
-                               &out));
-  EXPECT_EQ(out.size(), 2u);
-  out.clear();
-  ASSERT_TRUE(idx.OrderedRange(I(3), /*less=*/false, /*inclusive=*/false,
-                               &out));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_TRUE(out[0]->entries[0].value->Equals(*I(5)));
+  // One-sided probes are intervals with one end open.
+  EXPECT_EQ(Show(Walk(idx, {}, {I(3), false})), "1 ");
+  EXPECT_EQ(Show(Walk(idx, {}, {I(3), true})), "1 3 ");
+  EXPECT_EQ(Show(Walk(idx, {I(3), false}, {})), "5 ");
+  EXPECT_EQ(Show(Walk(idx, {I(3), true}, {})), "3 5 ");
   // A keyed bucket outside the probe's family: the scan would TypeError on
   // that comparison, so the index must refuse and let the scan reproduce it.
-  out.clear();
+  std::vector<const SecondaryIndex::Bucket*> out;
   idx.Rebuild(S({I(1), Value::Str("a")}));
-  EXPECT_FALSE(idx.OrderedRange(I(3), true, true, &out));
+  EXPECT_FALSE(idx.OrderedRange({}, {I(3), true}, &out));
+  EXPECT_FALSE(idx.OrderedRange({I(0), true}, {I(3), true}, &out));
+  // Ends of different families, and two open ends, bound nothing.
+  idx.Rebuild(S({I(1), I(3)}));
+  EXPECT_FALSE(idx.OrderedRange({I(0), true}, {Value::Str("z"), true}, &out));
+  EXPECT_FALSE(idx.OrderedRange({}, {}, &out));
+  EXPECT_TRUE(out.empty());
   // Hash indexes never serve ranges.
   SecondaryIndex h({"h", "N", {}, IndexKind::kHash}, &db.store());
   h.Rebuild(S({I(1)}));
-  EXPECT_FALSE(h.OrderedRange(I(3), true, true, &out));
+  EXPECT_FALSE(h.OrderedRange({}, {I(3), true}, &out));
+}
+
+TEST(SecondaryIndexTest, OrderedRangeWalksOnlyTheInterval) {
+  Database db;
+  SecondaryIndex idx({"i", "N", {}, IndexKind::kOrdered}, &db.store());
+  idx.Rebuild(S({I(1), I(2), I(3), I(4), I(5)}));
+  EXPECT_EQ(Show(Walk(idx, {I(2), true}, {I(4), true})), "2 3 4 ");
+  EXPECT_EQ(Show(Walk(idx, {I(2), false}, {I(4), false})), "3 ");
+  EXPECT_EQ(Show(Walk(idx, {I(2), false}, {I(4), true})), "3 4 ");
+  // Bounds between keys, and a float bound against int keys.
+  EXPECT_EQ(Show(Walk(idx, {Value::Float(1.5), true}, {I(3), true})), "2 3 ");
+  // A single key: lo == hi, both inclusive.
+  EXPECT_EQ(Show(Walk(idx, {I(3), true}, {I(3), true})), "3 ");
+  // Empty intervals walk nothing: lo above hi, or lo == hi with a strict
+  // end (the iterators would cross).
+  EXPECT_EQ(Show(Walk(idx, {I(4), true}, {I(2), true})), "");
+  EXPECT_EQ(Show(Walk(idx, {I(3), false}, {I(3), true})), "");
+  EXPECT_EQ(Show(Walk(idx, {I(3), true}, {I(3), false})), "");
+  EXPECT_EQ(Show(Walk(idx, {I(9), true}, {I(0), false})), "");
+  // An interval past either end of the keys.
+  EXPECT_EQ(Show(Walk(idx, {I(6), true}, {I(9), true})), "");
+  EXPECT_EQ(Show(Walk(idx, {I(-3), true}, {I(0), true})), "");
+}
+
+TEST(SecondaryIndexTest, OrderedRangeKeepsTheNaNTailForInclusiveEnds) {
+  // Value::Compare calls NaN equal to every numeric, so a NaN key
+  // satisfies <= and >= against any bound, and < and > against none.
+  Database db;
+  SecondaryIndex idx({"i", "N", {}, IndexKind::kOrdered}, &db.store());
+  const ValuePtr nan = Value::Float(std::nan(""));
+  idx.Rebuild(S({I(1), I(3), I(5), nan}));
+  EXPECT_EQ(Show(Walk(idx, {I(2), true}, {I(4), true})), "3 nan ");
+  EXPECT_EQ(Show(Walk(idx, {}, {I(3), true})), "1 3 nan ");
+  EXPECT_EQ(Show(Walk(idx, {I(3), true}, {})), "3 5 nan ");
+  // Even an empty interval keeps it when both ends are inclusive.
+  EXPECT_EQ(Show(Walk(idx, {I(4), true}, {I(2), true})), "nan ");
+  // A strict end excludes it, whichever side.
+  EXPECT_EQ(Show(Walk(idx, {I(2), false}, {I(4), true})), "3 ");
+  EXPECT_EQ(Show(Walk(idx, {I(3), false}, {})), "5 ");
+  EXPECT_EQ(Show(Walk(idx, {}, {I(3), false})), "1 ");
+  EXPECT_EQ(Show(Walk(idx, {I(3), false}, {I(3), false})), "");
+  // A NaN bound has no place in the order: decline.
+  std::vector<const SecondaryIndex::Bucket*> out;
+  EXPECT_FALSE(idx.OrderedRange({nan, true}, {I(4), true}, &out));
+  EXPECT_FALSE(idx.OrderedRange({I(1), true}, {nan, false}, &out));
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(SecondaryIndexTest, OrderedBucketsGroupCrossKindNumerics) {
@@ -331,6 +397,48 @@ TEST_F(IndexLoweringTest, RangeProbesRequireAnOrderedIndex) {
   EXPECT_EQ(lowered->name(), "io");
 }
 
+TEST_F(IndexLoweringTest, TwoSidedRangesLowerToOneIntervalProbe) {
+  ASSERT_TRUE(db_.CreateIndex({"io", "Nums", {}, IndexKind::kOrdered}).ok());
+  auto lowered = [&](PredicatePtr theta) {
+    return Lower(Select(std::move(theta), Var("Nums")));
+  };
+  auto expect_interval = [&](const ExprPtr& plan, CmpOp lo, CmpOp hi) {
+    ASSERT_EQ(plan->kind(), OpKind::kIndexProbe) << plan->ToString();
+    ASSERT_EQ(plan->num_children(), 2u) << plan->ToString();
+    EXPECT_EQ(static_cast<CmpOp>(plan->index()), lo);
+    EXPECT_EQ(static_cast<CmpOp>(plan->hi()), hi);
+    EXPECT_TRUE(plan->child(0)->Equals(IntLit(10)));
+    EXPECT_TRUE(plan->child(1)->Equals(IntLit(20)));
+  };
+  expect_interval(
+      lowered(And(Ge(Input(), IntLit(10)), Le(Input(), IntLit(20)))),
+      CmpOp::kGe, CmpOp::kLe);
+  // Mirrored operands and conjunct order: the bounds are the same.
+  expect_interval(
+      lowered(And(Ge(IntLit(20), Input()), Le(IntLit(10), Input()))),
+      CmpOp::kGe, CmpOp::kLe);
+  // Strict bounds, and a third conjunct between them.
+  expect_interval(
+      lowered(And(Gt(Input(), IntLit(10)),
+                  And(Ne(Input(), IntLit(15)), Lt(Input(), IntLit(20))))),
+      CmpOp::kGt, CmpOp::kLt);
+  // One bound stays the one-bound probe; two lower bounds pair with nothing.
+  ExprPtr one = lowered(Ge(Input(), IntLit(90)));
+  ASSERT_EQ(one->kind(), OpKind::kIndexProbe);
+  EXPECT_EQ(one->num_children(), 1u);
+  ExprPtr two_lows =
+      lowered(And(Ge(Input(), IntLit(10)), Gt(Input(), IntLit(20))));
+  ASSERT_EQ(two_lows->kind(), OpKind::kIndexProbe);
+  EXPECT_EQ(two_lows->num_children(), 1u);
+  // The answers agree with the scan.
+  PredicatePtr theta = And(Gt(Input(), IntLit(10)), Le(Input(), IntLit(20)));
+  ExprPtr scan = Select(theta, Var("Nums"));
+  ValuePtr want = Run(scan);
+  ASSERT_NE(want, nullptr);
+  EXPECT_EQ(want->TotalCount(), 10);
+  EXPECT_TRUE(want->Equals(*Run(Lower(scan))));
+}
+
 TEST_F(IndexLoweringTest, FieldPathMustMatchTheIndexPath) {
   ASSERT_TRUE(db_.CreateIndex({"ik", "Pairs", {"k"}, IndexKind::kHash}).ok());
   ExprPtr on_k =
@@ -432,6 +540,69 @@ TEST_F(IndexEvalTest, ProbesMatchTheLogicalSelection) {
                            IndexKind::kHash);
   // kNe has no index support — the operator must scan, same answer.
   ExpectProbeEqualsLogical(CmpOp::kNe, IntLit(1), IndexKind::kHash);
+}
+
+TEST_F(IndexEvalTest, IntervalProbesMatchTheLogicalSelection) {
+  // NaN and float keys beside the int, unk and dne keys of the fixture.
+  ASSERT_TRUE(db_.AppendNamed("Pairs",
+                              Value::SetOfCounted(
+                                  {{Elem(Value::Float(std::nan("")), I(50)), 2},
+                                   {Elem(Value::Float(2.0), I(60)), 1},
+                                   {Elem(Value::Float(2.5), I(70)), 3}}))
+                  .ok());
+  ASSERT_TRUE(
+      db_.CreateIndex({"i", "Pairs", {"k"}, IndexKind::kOrdered}).ok());
+  const ValuePtr bounds[] = {I(1),         I(2),          Value::Float(2.5),
+                             I(9),         Value::Unk(),  Value::Dne(),
+                             Value::Float(std::nan("")), Value::Str("a")};
+  const CmpOp lows[] = {CmpOp::kGt, CmpOp::kGe};
+  const CmpOp highs[] = {CmpOp::kLt, CmpOp::kLe};
+  int compared = 0;
+  for (const ValuePtr& lo : bounds) {
+    for (const ValuePtr& hi : bounds) {
+      for (CmpOp lo_op : lows) {
+        for (CmpOp hi_op : highs) {
+          PredicatePtr theta = And(KeyCmp(lo_op, Const(lo)),
+                                   KeyCmp(hi_op, Const(hi)));
+          Evaluator el(&db_), ep(&db_);
+          auto vl = el.Eval(Select(theta, Var("Pairs")));
+          auto vp = ep.Eval(IndexProbe("i", "Pairs", lo_op, Const(lo), Input(),
+                                       theta, hi_op, Const(hi)));
+          // A cross-family bound errors on the first element it meets. A
+          // probe may skip that element (its other bound is false there),
+          // as any probe skips elements whose indexed atom is false.
+          if (!vl.ok()) continue;
+          ASSERT_TRUE(vp.ok()) << vp.status().ToString();
+          EXPECT_TRUE((*vl)->Equals(**vp))
+              << theta->ToString() << "\nlogical: " << (*vl)->ToString()
+              << "\nprobe:   " << (*vp)->ToString();
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 100);
+}
+
+TEST_F(IndexEvalTest, IntervalProbeExaminesOnlyItsCandidates) {
+  // EXPLAIN ANALYZE's in= counts the candidate occurrences: here the
+  // bucket of key 2 and the two unk-keyed occurrences, not all eight.
+  ASSERT_TRUE(
+      db_.CreateIndex({"i", "Pairs", {"k"}, IndexKind::kOrdered}).ok());
+  PredicatePtr theta =
+      And(KeyCmp(CmpOp::kGt, IntLit(1)), KeyCmp(CmpOp::kLt, IntLit(3)));
+  ExprPtr probe = IndexProbe("i", "Pairs", CmpOp::kGt, IntLit(1), Input(),
+                             theta, CmpOp::kLt, IntLit(3));
+  Evaluator ev(&db_);
+  PlanProfile profile;
+  ev.set_profile(&profile);
+  auto r = ev.Eval(probe);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE((*r)->Equals(*Run(Select(theta, Var("Pairs")))));
+  const NodeProfile* np = profile.Find(probe.get());
+  ASSERT_NE(np, nullptr);
+  EXPECT_EQ(np->occurrences_in, 3);
+  EXPECT_EQ(np->out_occurrences, 3);
 }
 
 TEST_F(IndexEvalTest, MissingIndexFallsBackToTheScan) {

@@ -413,6 +413,61 @@ TEST_F(JoinPlanTest, LookupsAndDependentRangesKeepTheirPlans) {
   EXPECT_EQ(kids.count("SET_COLLAPSE"), 1u);
 }
 
+/// The first IDX_PROBE node of an EXPLAIN plan tree, or null.
+const obs::ExplainNode* FindProbe(const obs::ExplainNode& n) {
+  if (n.op == "IDX_PROBE") return &n;
+  for (const auto& c : n.children) {
+    if (const obs::ExplainNode* p = FindProbe(c)) return p;
+  }
+  return nullptr;
+}
+
+TEST_F(JoinPlanTest, TwoSidedRangesLowerToOneIntervalProbe) {
+  Run("create index emp_ssnum on Employees (ssnum) using hash");
+  Run("create index emp_salary on Employees (salary) using ordered");
+  Session::Options raw;
+  raw.optimize = false;
+  Session unopt(&db_, registry_.get(), raw);
+  ASSERT_TRUE(unopt.Execute("range of E is Employees").ok());
+  struct Case {
+    const char* where;
+    const char* index;
+    size_t bounds;  // probe children of the IDX_PROBE
+  };
+  const Case cases[] = {
+      {"E.salary >= 60000 and E.salary <= 90000", "emp_salary", 2},
+      // Mirrored operands.
+      {"60000 <= E.salary and 90000 >= E.salary", "emp_salary", 2},
+      // Strict bounds, upper bound first.
+      {"E.salary < 90000 and E.salary > 60000", "emp_salary", 2},
+      // A third conjunct riding along.
+      {"E.salary >= 60000 and E.name != \"x\" and E.salary <= 90000",
+       "emp_salary", 2},
+      // One bound keeps the one-bound probe; equality keeps the hash probe.
+      {"E.salary >= 140000", "emp_salary", 1},
+      {"E.ssnum = 100003", "emp_ssnum", 1},
+  };
+  for (const Case& c : cases) {
+    const std::string q =
+        std::string("retrieve (E.name, E.salary) where ") + c.where;
+    auto r = session_->Execute("explain " + q);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const obs::ExplainNode* probe =
+        FindProbe(session_->last_explain()->physical);
+    ASSERT_NE(probe, nullptr) << q;
+    EXPECT_NE(probe->detail.find(std::string("idx=") + c.index),
+              std::string::npos)
+        << q << "\n" << probe->detail;
+    size_t bounds = 0;
+    for (const auto& child : probe->children) bounds += child.role == "probe";
+    EXPECT_EQ(bounds, c.bounds) << q;
+    auto want = unopt.Execute(q);
+    ValuePtr got = Run(q);
+    ASSERT_TRUE(want.ok() && got != nullptr) << q;
+    EXPECT_TRUE((*want)->Equals(*got)) << q;
+  }
+}
+
 TEST_F(JoinPlanTest, RowsRenderInTargetOrderWithOrWithoutOptimization) {
   Session::Options raw;
   raw.optimize = false;

@@ -183,6 +183,49 @@ TEST(StorageSerialize, SnapshotPayloadRoundTripsDatabase) {
   EXPECT_EQ(*again, *oid);
 }
 
+TEST(StorageSerialize, RestoredInternKeysShareTheirObjectsFields) {
+  // An object updated after creation keeps its creation value as intern
+  // key; the two share every field the update left alone. The restore
+  // shares them again instead of holding two copies, byte-exactly.
+  Database db;
+  SchemaPtr pt = Schema::Tup(
+      {{"x", IntSchema()}, {"s", Schema::Set(IntSchema())}});
+  ASSERT_TRUE(db.catalog().DefineType("Pt", pt).ok());
+  ValuePtr tag = Value::SetOf({I(1), I(2)});
+  ValuePtr created = Value::Tuple({"x", "s"}, {I(1), tag}, "Pt");
+  auto moved = db.store().Create("Pt", created);
+  auto same =
+      db.store().Create("Pt", Value::Tuple({"x", "s"}, {I(7), tag}, "Pt"));
+  ASSERT_TRUE(moved.ok() && same.ok());
+  ASSERT_TRUE(db.store()
+                  .Update(*moved, Value::Tuple({"x", "s"}, {I(5), tag}, "Pt"))
+                  .ok());
+
+  SnapshotState state = CaptureDatabase(db, 1, {});
+  std::string payload = EncodeSnapshotPayload(state);
+  auto decoded = DecodeSnapshotPayload(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->store.interned.size(), 2u);
+  for (const auto& entry : decoded->store.interned) {
+    const ValuePtr* object = nullptr;
+    for (const auto& obj : decoded->store.objects) {
+      if (obj.oid == entry.oid) object = &obj.value;
+    }
+    ASSERT_NE(object, nullptr);
+    if (entry.oid == *same) {
+      EXPECT_EQ(entry.key, *object);  // unchanged: one value
+    } else {
+      EXPECT_NE(entry.key, *object);  // x changed, s still shared
+      EXPECT_TRUE(entry.key->Equals(*created));
+      EXPECT_EQ(entry.key->field_values()[1], (*object)->field_values()[1]);
+    }
+  }
+  EXPECT_EQ(EncodeSnapshotPayload(*decoded), payload);
+  Database back;
+  ASSERT_TRUE(InstallDatabase(*decoded, &back).ok());
+  EXPECT_EQ(CanonicalDatabaseBytes(db), CanonicalDatabaseBytes(back));
+}
+
 TEST(StorageSerialize, CorruptSnapshotPayloadIsDataLoss) {
   Database db;
   MethodRegistry methods(&db.catalog());
